@@ -179,71 +179,6 @@ BM_NoisyCircuitExecution(benchmark::State &state)
 BENCHMARK(BM_NoisyCircuitExecution);
 
 void
-BM_SequentialMemberSweep(benchmark::State &state)
-{
-    // Baseline for BM_BatchedMemberSweep: the same k noisy circuit
-    // executions run one member at a time.
-    const int k = static_cast<int>(state.range(0));
-    VqaProblem p = makeHeisenbergVqe();
-    Device d = deviceByName("ibmq_bogota");
-    std::vector<std::unique_ptr<SimulatedQpu>> qpus;
-    for (int m = 0; m < k; ++m)
-        qpus.push_back(std::make_unique<SimulatedQpu>(d, 1 + m));
-    ExpectationEstimator est(p.hamiltonian, p.ansatz);
-    auto compiled = est.compileFor(d.coupling);
-    std::vector<Rng> rngs;
-    for (int m = 0; m < k; ++m)
-        rngs.emplace_back(1 + m);
-    for (auto _ : state) {
-        for (int m = 0; m < k; ++m)
-            benchmark::DoNotOptimize(
-                qpus[m]->execute(compiled[0], p.initialParams, 0, 1.0,
-                                 rngs[m], false));
-    }
-    state.SetItemsProcessed(state.iterations() * k);
-}
-BENCHMARK(BM_SequentialMemberSweep)->Arg(2)->Arg(4)->Arg(8);
-
-void
-BM_BatchedMemberSweep(benchmark::State &state)
-{
-    // The PR's batched ensemble sweep: k members (same device model,
-    // independently drifted calibrations) advance together through one
-    // fused program via SimulatedQpu::executeBatch.
-    const int k = static_cast<int>(state.range(0));
-    VqaProblem p = makeHeisenbergVqe();
-    Device d = deviceByName("ibmq_bogota");
-    std::vector<std::unique_ptr<SimulatedQpu>> qpus;
-    for (int m = 0; m < k; ++m)
-        qpus.push_back(std::make_unique<SimulatedQpu>(d, 1 + m));
-    ExpectationEstimator est(p.hamiltonian, p.ansatz);
-    auto compiled = est.compileFor(d.coupling);
-    std::vector<Rng> rngs;
-    for (int m = 0; m < k; ++m)
-        rngs.emplace_back(1 + m);
-    std::vector<JobResult> outs(k);
-    std::vector<SimulatedQpu::BatchMember> members(k);
-    for (int m = 0; m < k; ++m) {
-        members[m].qpu = qpus[m].get();
-        members[m].tc = &compiled[0];
-        members[m].shots = 0;
-        members[m].atTimeH = 1.0;
-        members[m].rng = &rngs[m];
-        members[m].sampleCounts = false;
-        members[m].out = &outs[m];
-    }
-    for (auto _ : state) {
-        bool ok = SimulatedQpu::executeBatch(
-            members.data(), members.size(), p.initialParams);
-        if (!ok)
-            state.SkipWithError("executeBatch fell back");
-        benchmark::DoNotOptimize(outs.data());
-    }
-    state.SetItemsProcessed(state.iterations() * k);
-}
-BENCHMARK(BM_BatchedMemberSweep)->Arg(2)->Arg(4)->Arg(8);
-
-void
 BM_FullGradientJob(benchmark::State &state)
 {
     VqaProblem p = makeHeisenbergVqe();

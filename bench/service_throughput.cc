@@ -97,7 +97,6 @@ main(int argc, char **argv)
     double deadlineFrac = 0.0; // fraction of submissions with an SLO
     double sloH = 0.25;        // SLO horizon (hours past submit)
     double churn = 0.0;        // per-round join/leave probability
-    bool batched = false; // batched member sweep per work item
     uint64_t seed = 2026;      // node root seed; echoed in every report
     int nodes = 0; // 0 = legacy single ServiceNode; >= 1 = Router tier
     std::string outPath;
@@ -122,8 +121,6 @@ main(int argc, char **argv)
             ttlH = std::atof(next("--ttl"));
         else if (!std::strcmp(argv[i], "--fail"))
             fail = true;
-        else if (!std::strcmp(argv[i], "--batched"))
-            batched = true;
         else if (!std::strcmp(argv[i], "--clock"))
             clockMode = next("--clock");
         else if (!std::strcmp(argv[i], "--timescale"))
@@ -181,7 +178,6 @@ main(int argc, char **argv)
     ServiceOptions opts;
     opts.seed = seed;
     opts.resultCacheTtlH = ttlH;
-    opts.batchedSweep = batched;
     if (depth > 0)
         opts.admission.maxQueueDepth =
             static_cast<std::size_t>(depth);

@@ -5,8 +5,7 @@
  *
  * Runs are launched through eqc::Runtime (core/runtime.h), which picks
  * the engine named by EqcOptions::engine from the EngineRegistry
- * (core/engine.h). The runEqcVirtual / runEqcThreaded free functions
- * below are deprecated wrappers kept for source compatibility.
+ * (core/engine.h).
  */
 
 #ifndef EQC_CORE_EQC_H
@@ -85,34 +84,6 @@ struct EqcTrace : TrainingTrace
     /** Cooldowns triggered by the adaptive policy. */
     int cooldowns = 0;
 };
-
-/**
- * Run EQC on the discrete-event engine (deterministic).
- *
- * @deprecated Thin wrapper over eqc::Runtime kept for source
- * compatibility; prefer Runtime::submit with EqcOptions::engine =
- * "virtual" (core/runtime.h), which also supports queued jobs and
- * streaming TraceObserver telemetry.
- */
-[[deprecated("use eqc::Runtime::submit (core/runtime.h)")]]
-EqcTrace runEqcVirtual(const VqaProblem &problem,
-                       const std::vector<Device> &devices,
-                       const EqcOptions &options);
-
-/**
- * Run EQC with real std::thread client workers (the Ray-style
- * deployment). Virtual latencies are scaled to wall-clock sleeps by
- * @p hoursPerWallSecond. Non-deterministic by nature.
- *
- * @deprecated Thin wrapper over eqc::Runtime kept for source
- * compatibility; prefer Runtime::submit with EqcOptions::engine =
- * "threaded" and EqcOptions::hoursPerWallSecond set.
- */
-[[deprecated("use eqc::Runtime::submit (core/runtime.h)")]]
-EqcTrace runEqcThreaded(const VqaProblem &problem,
-                        const std::vector<Device> &devices,
-                        const EqcOptions &options,
-                        double hoursPerWallSecond = 50.0);
 
 /**
  * First index whose trailing @p window rolling mean of @p series stays

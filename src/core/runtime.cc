@@ -243,31 +243,4 @@ Runtime::engineNames()
     return EngineRegistry::instance().names();
 }
 
-// ---------------------------------------------------------------------------
-// Legacy facade: the original free functions as thin wrappers.
-// ---------------------------------------------------------------------------
-
-EqcTrace
-runEqcVirtual(const VqaProblem &problem,
-              const std::vector<Device> &devices,
-              const EqcOptions &options)
-{
-    EqcOptions opts = options;
-    opts.engine = "virtual";
-    Runtime runtime;
-    return runtime.submit(problem, devices, opts).take();
-}
-
-EqcTrace
-runEqcThreaded(const VqaProblem &problem,
-               const std::vector<Device> &devices,
-               const EqcOptions &options, double hoursPerWallSecond)
-{
-    EqcOptions opts = options;
-    opts.engine = "threaded";
-    opts.hoursPerWallSecond = hoursPerWallSecond;
-    Runtime runtime;
-    return runtime.submit(problem, devices, opts).take();
-}
-
 } // namespace eqc

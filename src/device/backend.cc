@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "quantum/density_matrix.h"
-#include "quantum/kernel_batched.h"
 #include "quantum/statevector.h"
 #include "sim/fusion.h"
 
@@ -469,250 +468,6 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
         result.counts = rng.multinomial(result.probabilities,
                                         static_cast<uint64_t>(shots));
     return result;
-}
-
-bool
-SimulatedQpu::executeBatch(BatchMember *members, std::size_t count,
-                           const std::vector<double> &params)
-{
-    if (count < 2)
-        return false;
-
-    std::vector<std::shared_ptr<const ExecPlan>> plans(count);
-    std::vector<std::shared_ptr<const NoiseContext>> ctxs(count);
-    for (std::size_t m = 0; m < count; ++m) {
-        plans[m] = members[m].qpu->planFor(*members[m].tc);
-        ctxs[m] = members[m].qpu->noiseContextFor(members[m].atTimeH);
-    }
-    const ExecPlan &plan0 = *plans[0];
-    const int n = plan0.numQubits;
-    if (n < 1)
-        return false;
-
-    // Structural identity, ignoring the physical-mapping words at
-    // [2, 2 + n) of the signature (see forEachSignatureWord):
-    // heterogeneous device mappings batch fine, because the noisy walk
-    // below resolves calibration per member through its own physOf.
-    for (std::size_t m = 1; m < count; ++m) {
-        const ExecPlan &p = *plans[m];
-        if (p.numQubits != n ||
-            p.signature.size() != plan0.signature.size()) {
-            return false;
-        }
-        for (std::size_t w = 0; w < p.signature.size(); ++w) {
-            if (w >= 2 && w < 2 + static_cast<std::size_t>(n))
-                continue;
-            if (p.signature[w] != plan0.signature[w])
-                return false;
-        }
-    }
-
-    // The noiseless statevector fast path vs the density-matrix walk is
-    // a structural fork: all members must take the same side.
-    const bool noiseless = ctxs[0]->noiseless;
-    for (std::size_t m = 1; m < count; ++m)
-        if (ctxs[m]->noiseless != noiseless)
-            return false;
-
-    if (noiseless) {
-        // Identical ideal programs (signature-verified) mean every
-        // member's statevector pass is the same: run it once and share
-        // the distribution. Sampling still draws per member from its
-        // own rng, exactly as the sequential loop would.
-        Statevector sv(n);
-        applyFusedProgram(plan0.ideal, params, sv);
-        const std::vector<double> probs = sv.probabilities();
-        for (std::size_t m = 0; m < count; ++m) {
-            JobResult &r = *members[m].out;
-            r.shots = members[m].shots;
-            r.circuitDurationUs = plans[m]->durationUs;
-            r.probabilities = probs;
-            r.counts.clear();
-            if (members[m].sampleCounts && members[m].shots > 0) {
-                r.counts = members[m].rng->multinomial(
-                    r.probabilities,
-                    static_cast<uint64_t>(members[m].shots));
-            }
-        }
-        return true;
-    }
-
-    // Noisy walk over the shared fused program, mirroring execute()
-    // op for op. Eligibility of per-op structural forks is checked
-    // inline: bailing mid-walk is clean because the batched state is
-    // local and no member rng or result has been touched yet.
-    detail::BatchedDensityMatrix bdm(n, static_cast<int>(count));
-    Complex scratch[16];
-    std::vector<Complex> sBuf(16 * count);
-    std::vector<detail::PermPhase> ppBuf(count);
-    std::vector<double> lamBuf(count), gABuf(count), cABuf(count),
-        gBBuf(count), cBBuf(count);
-    std::vector<const NoiseContext::CxNoise *> cnBuf(count);
-    std::vector<char> lo0Buf(count);
-
-    for (const FusedOp &op : plan0.noisy.ops) {
-        const Complex *u = op.entries;
-        const bool hasUnitary = op.termBegin != op.termEnd;
-        if (hasUnitary && op.symbolic) {
-            fusedEntries(plan0.noisy, op, params, scratch);
-            u = scratch;
-        }
-
-        switch (op.primary) {
-          case GateType::RZ:
-            if (hasUnitary) {
-                if (op.twoQubit)
-                    op.diagonal ? bdm.applyDiag2(u, op.q0, op.q1)
-                                : bdm.applyGate2(u, op.q0, op.q1);
-                else
-                    op.diagonal ? bdm.applyDiag1(u, op.q0)
-                                : bdm.applyGate1(u, op.q0);
-            }
-            break;
-          case GateType::ID: {
-            for (std::size_t m = 0; m < count; ++m) {
-                const int p0 = plans[m]->physOf[op.q0];
-                gABuf[m] = ctxs[m]->g1Gamma[p0];
-                cABuf[m] = ctxs[m]->g1Coherence[p0];
-            }
-            bdm.applyThermalRelaxationPerMember(gABuf.data(),
-                                                cABuf.data(), op.q0);
-            break;
-          }
-          case GateType::SX:
-          case GateType::X: {
-            // Trivial noise takes the plain unitary apply, composed
-            // noise the superop pass — a structural fork, so it must
-            // be uniform across members.
-            const bool triv0 =
-                ctxs[0]->n1Trivial[plans[0]->physOf[op.q0]] != 0;
-            for (std::size_t m = 1; m < count; ++m) {
-                const bool triv =
-                    ctxs[m]->n1Trivial[plans[m]->physOf[op.q0]] != 0;
-                if (triv != triv0)
-                    return false;
-            }
-            if (triv0) {
-                // Trivial implies no coherent miscalibration, so every
-                // member's W equals the shared fused unitary.
-                bdm.applyGate1(u, op.q0);
-                break;
-            }
-            for (std::size_t m = 0; m < count; ++m) {
-                const int p0 = plans[m]->physOf[op.q0];
-                const NoiseContext &nc = *ctxs[m];
-                Complex w[4];
-                if (nc.hasRx[p0])
-                    matMul(w, nc.rx[p0].data(), u, 2);
-                else
-                    std::memcpy(w, u, sizeof(w));
-                Complex wk[16];
-                for (int kp = 0; kp < 2; ++kp)
-                    for (int bp = 0; bp < 2; ++bp)
-                        for (int kq = 0; kq < 2; ++kq)
-                            for (int bq = 0; bq < 2; ++bq)
-                                wk[(kp + 2 * bp) * 4 + (kq + 2 * bq)] =
-                                    w[kp * 2 + kq] *
-                                    std::conj(w[bp * 2 + bq]);
-                matMul(sBuf.data() + 16 * m, nc.n1[p0].data(), wk, 4);
-            }
-            bdm.applyChannelSuperop1PerMember(sBuf.data(), op.q0);
-            break;
-          }
-          case GateType::CX: {
-            bool anyZz = false;
-            for (std::size_t m = 0; m < count; ++m) {
-                const int p0 = plans[m]->physOf[op.q0];
-                const int p1 = plans[m]->physOf[op.q1];
-                const auto key = std::minmax(p0, p1);
-                auto it =
-                    ctxs[m]->cx.find({key.first, key.second});
-                if (it == ctxs[m]->cx.end())
-                    panic("SimulatedQpu: CX on uncoupled qubits");
-                cnBuf[m] = &it->second;
-                lo0Buf[m] = p0 == key.first ? 1 : 0;
-                if (cnBuf[m]->hasZz)
-                    anyZz = true;
-            }
-            if (!anyZz) {
-                bdm.applyGate2(u, op.q0, op.q1);
-            } else {
-                // Per-member ZZ fold. A folded CX is diag x perm —
-                // still permutation-phase with the same permutation —
-                // which the per-member kernel covers; anything else
-                // (a General fused unitary under a partial fold)
-                // falls back to sequential execution.
-                bool ok = true;
-                for (std::size_t m = 0; m < count && ok; ++m) {
-                    Complex w2[16];
-                    if (cnBuf[m]->hasZz) {
-                        for (int r = 0; r < 4; ++r)
-                            for (int c = 0; c < 4; ++c)
-                                w2[r * 4 + c] =
-                                    cnBuf[m]->zz[r] * u[r * 4 + c];
-                    } else {
-                        std::memcpy(w2, u, sizeof(w2));
-                    }
-                    Complex dg[4];
-                    if (detail::classifyGate(w2, 4, dg, ppBuf[m]) !=
-                        detail::GateKind::PermPhase) {
-                        ok = false;
-                        break;
-                    }
-                    for (int r = 0; r < 4 && m > 0; ++r)
-                        if (ppBuf[m].perm[r] != ppBuf[0].perm[r])
-                            ok = false;
-                }
-                if (!ok)
-                    return false;
-                bdm.applyPermPhase2PerMember(ppBuf.data(), op.q0,
-                                             op.q1);
-            }
-            // Skipping the noise pass is a structural fork too.
-            const bool trivCx = cnBuf[0]->trivial;
-            for (std::size_t m = 1; m < count; ++m)
-                if (cnBuf[m]->trivial != trivCx)
-                    return false;
-            if (!trivCx) {
-                for (std::size_t m = 0; m < count; ++m) {
-                    const NoiseContext::CxNoise &cn = *cnBuf[m];
-                    const bool lo0 = lo0Buf[m] != 0;
-                    lamBuf[m] = cn.err;
-                    gABuf[m] = lo0 ? cn.gammaLo : cn.gammaHi;
-                    cABuf[m] = lo0 ? cn.cohLo : cn.cohHi;
-                    gBBuf[m] = lo0 ? cn.gammaHi : cn.gammaLo;
-                    cBBuf[m] = lo0 ? cn.cohHi : cn.cohLo;
-                }
-                bdm.applyDepolThermal2qPerMember(
-                    lamBuf.data(), op.q0, gABuf.data(), cABuf.data(),
-                    op.q1, gBBuf.data(), cBBuf.data());
-            }
-            break;
-          }
-          default:
-            panic("SimulatedQpu: non-basis gate '" +
-                  gateName(op.primary) + "' reached the backend");
-        }
-    }
-
-    for (std::size_t m = 0; m < count; ++m) {
-        JobResult &r = *members[m].out;
-        r.shots = members[m].shots;
-        r.circuitDurationUs = plans[m]->durationUs;
-        bdm.probabilities(static_cast<int>(m), r.probabilities);
-        for (int q : plans[m]->measured) {
-            const QubitCalibration &qc =
-                ctxs[m]->cal.qubits[plans[m]->physOf[q]];
-            applyReadoutError(r.probabilities, q, qc.readout);
-        }
-        r.counts.clear();
-        if (members[m].sampleCounts && members[m].shots > 0) {
-            r.counts = members[m].rng->multinomial(
-                r.probabilities,
-                static_cast<uint64_t>(members[m].shots));
-        }
-    }
-    return true;
 }
 
 Device

@@ -109,42 +109,6 @@ class SimulatedQpu : public QuantumBackend
                       double atTimeH, Rng &rng,
                       bool sampleCounts) override;
 
-    /** One lane of a batched ensemble sweep (see executeBatch). */
-    struct BatchMember
-    {
-        SimulatedQpu *qpu = nullptr;
-        const TranspiledCircuit *tc = nullptr;
-        int shots = 0;
-        double atTimeH = 0.0;
-        Rng *rng = nullptr;
-        bool sampleCounts = true;
-        JobResult *out = nullptr;
-    };
-
-    /**
-     * Execute one structurally identical circuit across all @p members
-     * in a single pass: the members' density matrices advance together
-     * through the shared fused program in a member-major
-     * structure-of-arrays state (quantum/kernel_batched.h), walking the
-     * gate stream once instead of once per member. Members may front
-     * different devices and different physical mappings — per-member
-     * noise rides through batch kernels with per-member operands — but
-     * must agree on the circuit structure (op-for-op signature match
-     * ignoring the physical-mapping words) and on the structural forks
-     * of the walk (noiseless-vs-noisy, trivial-vs-composed noise per
-     * op). Returns false when the members are not batchable, *before*
-     * touching any member's rng or result, so the caller can fall back
-     * to sequential execute() calls. On success every member's result
-     * and rng draws are bit-identical to what sequential execution
-     * would have produced, for any EQC_THREADS.
-     *
-     * Static because the members typically span different SimulatedQpu
-     * instances; each member's plan and noise context come from its own
-     * qpu. All members are executed with the same parameter values.
-     */
-    static bool executeBatch(BatchMember *members, std::size_t count,
-                             const std::vector<double> &params);
-
     const Device &device() const override { return dev_; }
 
     /** Calibration the provider advertises at time t (no drift). */

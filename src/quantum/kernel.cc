@@ -6,8 +6,8 @@
 
 // Runtime-dispatched SIMD paths (cpuid-gated, portable binaries).
 // -DEQC_NO_SIMD_DISPATCH opts out, e.g. to benchmark the scalar path.
-// The gate and the cpuid probe are shared with density_matrix.cc and
-// kernel_batched.cc through quantum/simd_dispatch.h.
+// The gate and the cpuid probe are shared with density_matrix.cc
+// through quantum/simd_dispatch.h.
 #include "quantum/simd_dispatch.h"
 
 namespace eqc {

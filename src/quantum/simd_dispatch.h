@@ -6,8 +6,8 @@
  * per-function target attributes, so the default portable (x86-64
  * baseline) build still ships them and selects at run time. This
  * header centralizes the opt-in test the 1q statevector path
- * introduced so every vectorized kernel (kernel.cc, density_matrix.cc,
- * kernel_batched.cc) gates on exactly the same conditions:
+ * introduced so every vectorized kernel (kernel.cc, density_matrix.cc)
+ * gates on exactly the same conditions:
  *
  *  - x86-64 with a GNU-compatible compiler (per-function target
  *    attributes and __builtin_cpu_supports are available), and
@@ -71,13 +71,14 @@ cpuHasAvx2Fma()
  * scalar std::complex formula — mul/addsub only, deliberately no FMA:
  *   re = a.re * c.re - a.im * c.im
  *   im = a.im * c.re + a.re * c.im   (commuted sum, bitwise equal)
- * The 2q/superoperator/batched AVX2 kernel variants are built from this
- * helper plus plain adds in the scalar accumulation order, which makes
- * the vector paths *bit-identical* to the scalar kernels (not merely
- * close) — the property the batched member sweep leans on: batched and
- * per-member execution agree bitwise no matter which variant each side
- * dispatched to. (The 1q statevector kernel predates this rule and
- * keeps its fmaddsub form under the 1e-10 test envelope.)
+ * The 2q/superoperator AVX2 kernel variants are built from this helper
+ * plus plain adds in the scalar accumulation order, which makes the
+ * vector paths *bit-identical* to the scalar kernels (not merely
+ * close). That is what lets every vector variant be tested bitwise
+ * against its scalar twin through simdDispatchForcedOff(), and keeps
+ * results independent of which variant a machine dispatches to.
+ * (The 1q statevector kernel predates this rule and keeps its
+ * fmaddsub form under the 1e-10 test envelope.)
  *
  * @p cr / @p ci broadcast the multiplier: set1 for a shared
  * coefficient, or per-128-bit-lane values to apply different

@@ -712,6 +712,24 @@ InvariantChecker::check(const EventJournal &journal)
 // Chaos engine
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/**
+ * Binding a tenant pair submits: the problem's initial parameters with
+ * the first shifted per pair and the last per round key, so pairs
+ * coalesce and repeated round keys hit the result cache.
+ */
+std::vector<double>
+pairBinding(const VqaProblem &prob, int pair, int roundKey)
+{
+    std::vector<double> params(prob.initialParams);
+    params[0] += 0.13 * pair;
+    params.back() += 0.037 * roundKey;
+    return params;
+}
+
+} // namespace
+
 ChaosReport
 ChaosEngine::run(TaskPool *pool)
 {
@@ -848,10 +866,8 @@ ChaosEngine::run(TaskPool *pool)
             serve::JobRequest req;
             req.tenantId = t;
             req.workload = useQaoa ? wQaoa : wVqe;
-            req.params = prob.initialParams;
-            req.params[0] += 0.13 * pair;
-            req.params.back() +=
-                0.037 * roundKey[static_cast<std::size_t>(pair)];
+            req.params = pairBinding(
+                prob, pair, roundKey[static_cast<std::size_t>(pair)]);
             req.shots = 64 * rng.uniformInt(1, shotSteps);
             req.priority = rng.uniformInt(0, 2);
             req.submitH = baseH + rng.uniform(0.0, 0.05);
@@ -1054,10 +1070,8 @@ ChaosEngine::runRouted(TaskPool *pool)
             serve::JobRequest req;
             req.tenantId = t;
             req.workload = useQaoa ? wQaoa : wVqe;
-            req.params = prob.initialParams;
-            req.params[0] += 0.13 * pair;
-            req.params.back() +=
-                0.037 * roundKey[static_cast<std::size_t>(pair)];
+            req.params = pairBinding(
+                prob, pair, roundKey[static_cast<std::size_t>(pair)]);
             req.shots = 64 * rng.uniformInt(1, shotSteps);
             req.priority = rng.uniformInt(0, 2);
             req.submitH = baseH + rng.uniform(0.0, 0.05);

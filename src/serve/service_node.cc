@@ -238,9 +238,6 @@ ServiceNode::makeInstruments(obs::MetricsRegistry &m)
         "eqc_service_retry_after_seconds",
         {1.0, 5.0, 15.0, 60.0, 300.0, 900.0, 3600.0},
         "Backpressure hints handed to capacity-rejected jobs");
-    ins.batchMembers = m.histogram(
-        "eqc_pool_batch_members", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0},
-        "Members advanced together per batched work-item sweep");
     ins.queueDepth =
         m.gauge("eqc_service_queue_depth", "Jobs admitted, not popped");
     ins.activeItems =
@@ -851,10 +848,6 @@ ServiceNode::executeShards(const std::vector<ShardRef> &batch)
     if (batch.empty())
         return;
     TaskPool &exec = exec_ ? *exec_ : TaskPool::shared();
-    if (options_.batchedSweep) {
-        executeShardsBatched(batch, exec);
-        return;
-    }
     exec.parallelJobs(batch.size(), [&](uint64_t b, uint64_t e) {
         for (uint64_t bi = b; bi < e; ++bi) {
             WorkItem &item = *batch[bi].item;
@@ -891,99 +884,6 @@ ServiceNode::executeShards(const std::vector<ShardRef> &batch)
             s.result.failed = false;
         }
     });
-}
-
-void
-ServiceNode::executeShardsBatched(const std::vector<ShardRef> &batch,
-                                  TaskPool &exec)
-{
-    // Shards of one work item run the same compiled workload, so their
-    // members can advance together through one batched density-matrix
-    // sweep. Latency draws and liveness checks come first, from each
-    // shard's own (work uid, shard seq) fork, in the exact order the
-    // sequential path uses — the sweep only replaces the per-shard
-    // estimate() calls, so outcomes and rng streams are bit-identical.
-    std::size_t i = 0;
-    while (i < batch.size()) {
-        WorkItem &item = *batch[i].item;
-        std::size_t j = i;
-        while (j < batch.size() && batch[j].item == &item)
-            ++j;
-        const Workload &w = *workloads_[item.key.workload];
-        const std::size_t n = j - i;
-        std::vector<Rng> rngs;
-        rngs.reserve(n);
-        std::vector<double> completeHs(n, 0.0);
-        std::vector<std::size_t> alive;
-        for (std::size_t k = 0; k < n; ++k) {
-            Shard &s = item.shards[batch[i + k].shard];
-            Member &m = members_[static_cast<std::size_t>(s.member)];
-            rngs.push_back(rootRng_.fork(item.workUid)
-                               .fork(static_cast<uint64_t>(s.seq)));
-            const int groups =
-                static_cast<int>(w.compiled[s.member].size());
-            double latS = m.backend->queue().jobLatencyS(
-                s.startH, w.durUs[s.member], s.shots, groups, rngs[k],
-                s.depthAtPlan);
-            completeHs[k] = s.startH + latS / 3600.0;
-            s.result.member = s.member;
-            s.result.shots = s.shots;
-            s.result.pCorrect = s.pCorrect;
-            if (!m.aliveAt(completeHs[k])) {
-                s.result.failed = true;
-                s.detectH = std::max(completeHs[k], s.startH);
-                continue;
-            }
-            alive.push_back(k);
-        }
-        if (ins_.batchMembers)
-            ins_.batchMembers->observe(
-                static_cast<double>(alive.size()));
-        if (alive.size() >= 2) {
-            std::vector<ExpectationEstimator::EnsembleLane> lanes(
-                alive.size());
-            for (std::size_t a = 0; a < alive.size(); ++a) {
-                const std::size_t k = alive[a];
-                Shard &s = item.shards[batch[i + k].shard];
-                lanes[a].backend = members_[static_cast<std::size_t>(
-                                                s.member)]
-                                       .backend.get();
-                lanes[a].compiled = &w.compiled[s.member];
-                lanes[a].shots = s.shots;
-                lanes[a].atTimeH = completeHs[k];
-                lanes[a].rng = &rngs[k];
-            }
-            std::vector<EnergyEstimate> ests =
-                w.estimator.estimateEnsemble(
-                    lanes, item.key.params, options_.shotMode,
-                    options_.readoutMitigation, &exec);
-            for (std::size_t a = 0; a < alive.size(); ++a) {
-                const std::size_t k = alive[a];
-                Shard &s = item.shards[batch[i + k].shard];
-                s.result.energy = ests[a].energy;
-                s.result.variance = ests[a].variance;
-                s.result.completeH = completeHs[k];
-                s.result.circuitsRun = ests[a].circuitsRun;
-                s.result.failed = false;
-            }
-        } else {
-            for (std::size_t k : alive) {
-                Shard &s = item.shards[batch[i + k].shard];
-                Member &m =
-                    members_[static_cast<std::size_t>(s.member)];
-                EnergyEstimate est = w.estimator.estimate(
-                    *m.backend, w.compiled[s.member], item.key.params,
-                    s.shots, completeHs[k], rngs[k], options_.shotMode,
-                    options_.readoutMitigation, &exec);
-                s.result.energy = est.energy;
-                s.result.variance = est.variance;
-                s.result.completeH = completeHs[k];
-                s.result.circuitsRun = est.circuitsRun;
-                s.result.failed = false;
-            }
-        }
-        i = j;
-    }
 }
 
 void

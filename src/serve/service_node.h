@@ -111,15 +111,6 @@ struct ServiceOptions
     double superviseMaxBackoffH = 2.0;
     /** Reservoir size of the latency percentile estimator. */
     std::size_t latencyReservoir = 4096;
-    /**
-     * Execute each work item's alive shards as one batched member
-     * sweep (ExpectationEstimator::estimateEnsemble): the members'
-     * density matrices advance together through each group circuit
-     * instead of once per member. Bit-identical outcomes to the
-     * sequential path — per-shard RNG streams still fork from
-     * (work uid, shard seq) — just faster when shards per item >= 2.
-     */
-    bool batchedSweep = false;
     /** Root seed; every stochastic stream forks from it by label. */
     uint64_t seed = 1;
     /**
@@ -461,15 +452,6 @@ class ServiceNode
     /** Fan a batch of shard computations (any items) through the pool. */
     void executeShards(const std::vector<ShardRef> &batch);
 
-    /**
-     * batchedSweep variant of executeShards: groups the batch by work
-     * item and advances each item's alive shards together through one
-     * estimateEnsemble sweep, falling back to per-shard estimates when
-     * fewer than two shards survive the liveness check.
-     */
-    void executeShardsBatched(const std::vector<ShardRef> &batch,
-                              TaskPool &exec);
-
     /** Schedule completion/timeout events for shards >= firstShard. */
     void scheduleShardEvents(WorkItem &item, std::size_t firstShard);
 
@@ -553,7 +535,6 @@ class ServiceNode
         obs::Histogram *latencyH = nullptr;
         obs::Histogram *queueWaitH = nullptr;
         obs::Histogram *retryAfterS = nullptr;
-        obs::Histogram *batchMembers = nullptr;
         obs::Gauge *queueDepth = nullptr;
         obs::Gauge *activeItems = nullptr;
         obs::Gauge *inflightShards = nullptr;

@@ -110,18 +110,9 @@ ExpectationEstimator::estimateGroup(
     int shots, double atTimeH, Rng &rng, ShotMode mode,
     const CalibrationSnapshot *reported) const
 {
+    GroupPartial out;
     JobResult job = backend.execute(tc, params, shots, atTimeH, rng,
                                     mode == ShotMode::Multinomial);
-    return reduceGroup(g, tc, std::move(job), shots, rng, mode, reported);
-}
-
-ExpectationEstimator::GroupPartial
-ExpectationEstimator::reduceGroup(
-    const MeasurementGroup &g, const TranspiledCircuit &tc,
-    JobResult &&job, int shots, Rng &rng, ShotMode mode,
-    const CalibrationSnapshot *reported) const
-{
-    GroupPartial out;
     out.measurements = tc.counts.measurements;
     out.durationUs = job.circuitDurationUs;
 
@@ -227,96 +218,6 @@ ExpectationEstimator::estimateBatch(QuantumBackend &backend,
         e.energy = identityOffset_;
         for (std::size_t gi = 0; gi < numGroups; ++gi) {
             const GroupPartial &part = parts[ji * numGroups + gi];
-            e.energy += part.energy;
-            e.variance += part.variance;
-            ++e.circuitsRun;
-            e.measurements += part.measurements;
-            e.totalDurationUs += part.durationUs;
-        }
-    }
-    return out;
-}
-
-std::vector<EnergyEstimate>
-ExpectationEstimator::estimateEnsemble(std::vector<EnsembleLane> &lanes,
-                                       const std::vector<double> &params,
-                                       ShotMode mode,
-                                       bool mitigateReadout,
-                                       TaskPool *pool) const
-{
-    const std::size_t numGroups = groups_.size();
-    const std::size_t numLanes = lanes.size();
-    for (const EnsembleLane &lane : lanes) {
-        if (!lane.backend || !lane.compiled || !lane.rng ||
-            lane.compiled->size() != numGroups)
-            panic("ExpectationEstimator::estimateEnsemble: "
-                  "lane mismatch");
-    }
-
-    // Per-lane reported calibration and fork base, consumed in lane
-    // order: each lane's rng advances by exactly one draw, exactly as
-    // a sequential estimate() on that lane would leave it.
-    std::vector<CalibrationSnapshot> reported;
-    if (mitigateReadout) {
-        reported.reserve(numLanes);
-        for (const EnsembleLane &lane : lanes)
-            reported.push_back(
-                lane.backend->reportedCalibration(lane.atTimeH));
-    }
-    std::vector<uint64_t> forkBase(numLanes);
-    for (std::size_t l = 0; l < numLanes; ++l)
-        forkBase[l] = lanes[l].rng->engine()();
-
-    std::vector<GroupPartial> parts(numGroups * numLanes);
-    auto runRange = [&](uint64_t b, uint64_t e) {
-        std::vector<Rng> rngs;
-        std::vector<JobResult> jobs;
-        std::vector<SimulatedQpu::BatchMember> members;
-        for (uint64_t gi = b; gi < e; ++gi) {
-            // Same fork lattice as estimateBatch: the (lane, group)
-            // stream is Rng(forkBase).fork(gi), flowing through the
-            // execution's shot sampling and then reduceGroup's
-            // Gaussian draws as one object.
-            rngs.clear();
-            rngs.reserve(numLanes);
-            for (std::size_t l = 0; l < numLanes; ++l)
-                rngs.push_back(Rng(forkBase[l]).fork(gi));
-            jobs.assign(numLanes, JobResult{});
-            members.assign(numLanes, SimulatedQpu::BatchMember{});
-            for (std::size_t l = 0; l < numLanes; ++l) {
-                SimulatedQpu::BatchMember &m = members[l];
-                m.qpu = lanes[l].backend;
-                m.tc = &(*lanes[l].compiled)[gi];
-                m.shots = lanes[l].shots;
-                m.atTimeH = lanes[l].atTimeH;
-                m.rng = &rngs[l];
-                m.sampleCounts = mode == ShotMode::Multinomial;
-                m.out = &jobs[l];
-            }
-            const bool batched = SimulatedQpu::executeBatch(
-                members.data(), members.size(), params);
-            for (std::size_t l = 0; l < numLanes; ++l) {
-                if (!batched)
-                    jobs[l] = lanes[l].backend->execute(
-                        *members[l].tc, params, lanes[l].shots,
-                        lanes[l].atTimeH, rngs[l],
-                        mode == ShotMode::Multinomial);
-                parts[gi * numLanes + l] = reduceGroup(
-                    groups_[gi], *members[l].tc, std::move(jobs[l]),
-                    lanes[l].shots, rngs[l], mode,
-                    mitigateReadout ? &reported[l] : nullptr);
-            }
-        }
-    };
-    TaskPool &p = pool ? *pool : TaskPool::shared();
-    p.parallelJobs(numGroups, runRange);
-
-    std::vector<EnergyEstimate> out(numLanes);
-    for (std::size_t l = 0; l < numLanes; ++l) {
-        EnergyEstimate &e = out[l];
-        e.energy = identityOffset_;
-        for (std::size_t gi = 0; gi < numGroups; ++gi) {
-            const GroupPartial &part = parts[gi * numLanes + l];
             e.energy += part.energy;
             e.variance += part.variance;
             ++e.circuitsRun;

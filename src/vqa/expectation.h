@@ -155,43 +155,6 @@ class ExpectationEstimator
                   bool mitigateReadout = true,
                   TaskPool *pool = nullptr) const;
 
-    /**
-     * One ensemble member's view of an estimate: its own backend,
-     * compiled circuit set, shot budget, submission time, and rng.
-     * All pointers must outlive the estimateEnsemble() call.
-     */
-    struct EnsembleLane
-    {
-        SimulatedQpu *backend = nullptr;
-        const std::vector<TranspiledCircuit> *compiled = nullptr;
-        int shots = 0;
-        double atTimeH = 0.0;
-        Rng *rng = nullptr;
-    };
-
-    /**
-     * Estimate <H> at @p params on every lane at once, advancing all
-     * members through each measurement-group circuit in one batched
-     * density-matrix pass (SimulatedQpu::executeBatch) instead of one
-     * execution per member. Groups a batched pass cannot take (members
-     * disagree on a structural fork of the noise walk) fall back to
-     * sequential per-lane execution for that group only.
-     *
-     * Bit-identity contract: the returned estimates, and the state each
-     * lane's rng is left in, are identical to calling estimate() once
-     * per lane in lane order with that lane's own arguments — for any
-     * thread count and whether or not the batched path engaged. Each
-     * lane's rng is drawn from exactly once, in lane order, to seed its
-     * per-group fork lattice.
-     *
-     * @return one estimate per lane, in lane order
-     */
-    std::vector<EnergyEstimate>
-    estimateEnsemble(std::vector<EnsembleLane> &lanes,
-                     const std::vector<double> &params, ShotMode mode,
-                     bool mitigateReadout = true,
-                     TaskPool *pool = nullptr) const;
-
   private:
     /** Partial result of one (evaluation, group) circuit execution. */
     struct GroupPartial
@@ -209,18 +172,6 @@ class ExpectationEstimator
                                int shots, double atTimeH, Rng &rng,
                                ShotMode mode,
                                const CalibrationSnapshot *reported) const;
-
-    /**
-     * Turn one executed group circuit's JobResult into a GroupPartial:
-     * distribution selection (counts vs exact), readout mitigation
-     * against @p reported, per-term parity expectations, and the
-     * Gaussian shot-noise draws from @p rng. Shared tail of
-     * estimateGroup and the batched ensemble path.
-     */
-    GroupPartial reduceGroup(const MeasurementGroup &group,
-                             const TranspiledCircuit &tc, JobResult &&job,
-                             int shots, Rng &rng, ShotMode mode,
-                             const CalibrationSnapshot *reported) const;
 
     PauliSum hamiltonian_;
     std::vector<MeasurementGroup> groups_;

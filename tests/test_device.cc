@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <set>
 
 #include "device/backend.h"
@@ -305,101 +304,6 @@ TEST(Backend, NoiseWorsensWithStaleness)
     double pFresh = fresh.probabilities[0] + fresh.probabilities[all1];
     double pStale = stale.probabilities[0] + stale.probabilities[all1];
     EXPECT_GT(pFresh, pStale);
-}
-
-TEST(Backend, ExecuteBatchBitIdenticalToSequential)
-{
-    // k members of the same device model with independently drifted
-    // calibrations (different seeds): one batched pass must reproduce
-    // the k sequential executions bitwise — distribution, counts, and
-    // the state each member's rng is left in.
-    const int k = 4;
-    Device dev = deviceByName("ibmq_bogota");
-    QuantumCircuit ghz(4, 0);
-    ghz.h(0);
-    for (int q = 0; q + 1 < 4; ++q)
-        ghz.cx(q, q + 1);
-    ghz.measureAll();
-    TranspiledCircuit tc = transpile(ghz, dev.coupling);
-
-    std::vector<JobResult> seq(k);
-    std::vector<uint64_t> nextDraw(k);
-    {
-        std::vector<std::unique_ptr<SimulatedQpu>> qpus;
-        std::vector<Rng> rngs;
-        for (int m = 0; m < k; ++m) {
-            qpus.push_back(
-                std::make_unique<SimulatedQpu>(dev, 10 + m));
-            rngs.emplace_back(100 + m);
-        }
-        for (int m = 0; m < k; ++m)
-            seq[m] = qpus[m]->execute(tc, {}, 256, 1.0 + 0.1 * m,
-                                      rngs[m], true);
-        for (int m = 0; m < k; ++m)
-            nextDraw[m] = rngs[m].engine()();
-    }
-
-    std::vector<std::unique_ptr<SimulatedQpu>> qpus;
-    std::vector<Rng> rngs;
-    for (int m = 0; m < k; ++m) {
-        qpus.push_back(std::make_unique<SimulatedQpu>(dev, 10 + m));
-        rngs.emplace_back(100 + m);
-    }
-    std::vector<JobResult> out(k);
-    std::vector<SimulatedQpu::BatchMember> members(k);
-    for (int m = 0; m < k; ++m) {
-        members[m].qpu = qpus[m].get();
-        members[m].tc = &tc;
-        members[m].shots = 256;
-        members[m].atTimeH = 1.0 + 0.1 * m;
-        members[m].rng = &rngs[m];
-        members[m].sampleCounts = true;
-        members[m].out = &out[m];
-    }
-    ASSERT_TRUE(
-        SimulatedQpu::executeBatch(members.data(), members.size(), {}));
-    for (int m = 0; m < k; ++m) {
-        ASSERT_EQ(out[m].probabilities.size(),
-                  seq[m].probabilities.size());
-        bool identical = true;
-        for (std::size_t o = 0; o < out[m].probabilities.size(); ++o)
-            identical = identical &&
-                        out[m].probabilities[o] == seq[m].probabilities[o];
-        EXPECT_TRUE(identical) << "member " << m;
-        EXPECT_EQ(out[m].counts, seq[m].counts) << "member " << m;
-        EXPECT_EQ(out[m].shots, seq[m].shots);
-        EXPECT_EQ(out[m].circuitDurationUs, seq[m].circuitDurationUs);
-        // Same rng end state: the next draw matches the sequential one.
-        EXPECT_EQ(rngs[m].engine()(), nextDraw[m]) << "member " << m;
-    }
-}
-
-TEST(Backend, ExecuteBatchRejectsMismatchedCircuits)
-{
-    Device dev = deviceByName("ibmq_bogota");
-    QuantumCircuit a(2, 0);
-    a.h(0);
-    a.cx(0, 1);
-    a.measureAll();
-    QuantumCircuit b(2, 0);
-    b.h(0);
-    b.h(1);
-    b.cx(0, 1);
-    b.measureAll();
-    TranspiledCircuit ta = transpile(a, dev.coupling);
-    TranspiledCircuit tb = transpile(b, dev.coupling);
-    SimulatedQpu q0(dev, 1), q1(dev, 2);
-    Rng r0(7), r1(8);
-    JobResult o0, o1;
-    SimulatedQpu::BatchMember members[2];
-    members[0] = {&q0, &ta, 64, 1.0, &r0, true, &o0};
-    members[1] = {&q1, &tb, 64, 1.0, &r1, true, &o1};
-    EXPECT_FALSE(SimulatedQpu::executeBatch(members, 2, {}));
-    // Rejected before touching any member's rng: streams still at the
-    // seed position.
-    Rng f0(7), f1(8);
-    EXPECT_EQ(r0.engine()(), f0.engine()());
-    EXPECT_EQ(r1.engine()(), f1.engine()());
 }
 
 } // namespace

@@ -15,7 +15,6 @@
 #include "quantum/density_matrix.h"
 #include "quantum/gates.h"
 #include "quantum/kernel.h"
-#include "quantum/kernel_batched.h"
 #include "quantum/kraus.h"
 #include "quantum/simd_dispatch.h"
 
@@ -490,83 +489,6 @@ TEST(Kernel, SimdDepolThermal2qBitIdenticalToScalar)
             for (uint64_t c = 0; identical && c < fast.dim(); ++c)
                 identical = fast.element(r, c) == scalar.element(r, c);
         EXPECT_TRUE(identical);
-    }
-}
-
-TEST(Kernel, BatchedSweepBitIdenticalToSequentialAcrossPools)
-{
-    // n = 9: the shared-gate block counts clear the parallel threshold,
-    // so pools with >1 thread really shard the batched kernels. Every
-    // member's batched state must match its own sequential
-    // DensityMatrix replay bitwise, for every pool size.
-    const int n = 9;
-    const int k = 3;
-    CMatrix u1 = randomMatrix(2, 461);
-    CMatrix u2 = randomMatrix(4, 463);
-    const Complex d4[4] = {Complex(1, 0), Complex(0.6, 0.8),
-                           Complex(-1, 0), Complex(0.8, -0.6)};
-
-    // Per-member operands: channel superops, thermal factors, and a
-    // per-member ZZ-phased CX (member 0 keeps unit phases to exercise
-    // the copy path).
-    std::vector<Complex> sBuf(16 * k);
-    double gamma[k], coh[k], lam[k], gB[k], cB[k];
-    std::vector<Complex> ppMats(16 * k);
-    detail::PermPhase pp[k];
-    CMatrix cx = gateMatrix(GateType::CX);
-    for (int m = 0; m < k; ++m) {
-        KrausChannel ch = depolarizing1q(0.05 + 0.04 * m);
-        std::copy_n(ch.superopMatrix().data(), 16, sBuf.begin() + 16 * m);
-        gamma[m] = 0.001 + 0.001 * m;
-        coh[m] = 0.999 - 0.001 * m;
-        lam[m] = 0.01 + 0.005 * m;
-        gB[m] = 0.002 + 0.001 * m;
-        cB[m] = 0.998 - 0.001 * m;
-        const double th = m == 0 ? 0.0 : 0.1 * m;
-        for (int r = 0; r < 4; ++r)
-            for (int c = 0; c < 4; ++c)
-                ppMats[16 * m + r * 4 + c] =
-                    std::polar(1.0, th * r) * cx(r, c);
-        Complex diag[4];
-        ASSERT_EQ(detail::classifyGate(ppMats.data() + 16 * m, 4, diag,
-                                       pp[m]),
-                  detail::GateKind::PermPhase);
-    }
-
-    std::vector<DensityMatrix> seq;
-    for (int m = 0; m < k; ++m) {
-        seq.emplace_back(n);
-        DensityMatrix &dm = seq.back();
-        dm.applyGate1(flat(u1).data(), 4);
-        dm.applyGate2(flat(u2).data(), 2, 7);
-        dm.applyDiag2(d4, 1, 6);
-        dm.applyChannelSuperop1(sBuf.data() + 16 * m, 3);
-        dm.applyThermalRelaxation(5, gamma[m], coh[m]);
-        dm.applyDepolThermal2q(lam[m], 0, gamma[m], coh[m], 8, gB[m],
-                               cB[m]);
-        dm.applyGate2(ppMats.data() + 16 * m, 2, 7);
-    }
-
-    for (int poolSize : {1, 2, 4}) {
-        TaskPool pool(poolSize);
-        detail::BatchedDensityMatrix bdm(n, k);
-        bdm.setTaskPool(&pool);
-        bdm.applyGate1(flat(u1).data(), 4);
-        bdm.applyGate2(flat(u2).data(), 2, 7);
-        bdm.applyDiag2(d4, 1, 6);
-        bdm.applyChannelSuperop1PerMember(sBuf.data(), 3);
-        bdm.applyThermalRelaxationPerMember(gamma, coh, 5);
-        bdm.applyDepolThermal2qPerMember(lam, 0, gamma, coh, 8, gB, cB);
-        bdm.applyPermPhase2PerMember(pp, 2, 7);
-        for (int m = 0; m < k; ++m) {
-            bool identical = true;
-            for (uint64_t r = 0; identical && r < bdm.dim(); ++r)
-                for (uint64_t c = 0; identical && c < bdm.dim(); ++c)
-                    identical =
-                        bdm.element(m, r, c) == seq[m].element(r, c);
-            EXPECT_TRUE(identical)
-                << "member " << m << " pool " << poolSize;
-        }
     }
 }
 

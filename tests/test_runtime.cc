@@ -259,29 +259,5 @@ TEST(Runtime, RecordingSwitchesComposeAsObservers)
     EXPECT_GT(trace.staleness.count(), 0u);
 }
 
-// The deprecated free functions must stay exact aliases of the
-// Runtime path while they live.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Runtime, LegacyWrapperMatchesRuntimeBitForBit)
-{
-    VqaProblem p = makeHeisenbergVqe();
-    EqcOptions opts;
-    opts.master.epochs = 6;
-    opts.seed = 13;
-    EqcTrace legacy = runEqcVirtual(p, smallEnsemble(), opts);
-    Runtime rt;
-    EqcTrace viaRuntime = rt.submit(p, smallEnsemble(), opts).take();
-    ASSERT_EQ(legacy.epochs.size(), viaRuntime.epochs.size());
-    for (std::size_t i = 0; i < legacy.epochs.size(); ++i)
-        EXPECT_DOUBLE_EQ(legacy.epochs[i].energyDevice,
-                         viaRuntime.epochs[i].energyDevice);
-    ASSERT_EQ(legacy.finalParams.size(), viaRuntime.finalParams.size());
-    for (std::size_t i = 0; i < legacy.finalParams.size(); ++i)
-        EXPECT_DOUBLE_EQ(legacy.finalParams[i],
-                         viaRuntime.finalParams[i]);
-}
-#pragma GCC diagnostic pop
-
 } // namespace
 } // namespace eqc

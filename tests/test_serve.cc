@@ -608,51 +608,6 @@ TEST(ServiceNode, DrainBitIdenticalForAnyThreadCount)
     }
 }
 
-TEST(ServiceNode, BatchedSweepBitIdenticalToSequential)
-{
-    // The batched member sweep is a pure execution-strategy switch:
-    // with it on, each work item's alive shards advance together
-    // through one estimateEnsemble pass, and every outcome must match
-    // the sequential path bitwise — including across thread counts and
-    // with a mid-run member failure in the mix.
-    auto run = [](bool batched, int threads) {
-        ServiceOptions o = fastOptions(77);
-        o.batchedSweep = batched;
-        ServiceNode node(serveEnsemble(), o);
-        VqaProblem p = makeHeisenbergVqe();
-        WorkloadId wl = node.registerWorkload(p.ansatz, p.hamiltonian);
-        JobRequest r;
-        r.workload = wl;
-        r.shots = 2048;
-        for (int t = 0; t < 5; ++t) {
-            r.tenantId = t;
-            r.params = p.initialParams;
-            r.params[0] += 0.1 * t;
-            r.priority = t % 2;
-            r.submitH = 0.01 * t;
-            EXPECT_TRUE(node.submit(r).admitted());
-        }
-        node.failMemberAt(1, 30.0 / 3600.0);
-        TaskPool pool(threads);
-        return node.drain(&pool);
-    };
-    std::vector<JobOutcome> seq = run(false, 2);
-    ASSERT_EQ(seq.size(), 5u);
-    for (int threads : {1, 2, 4}) {
-        std::vector<JobOutcome> bat = run(true, threads);
-        ASSERT_EQ(bat.size(), seq.size());
-        for (std::size_t i = 0; i < seq.size(); ++i) {
-            EXPECT_EQ(bat[i].jobId, seq[i].jobId);
-            EXPECT_EQ(bat[i].energy, seq[i].energy)
-                << "job " << i << " threads " << threads;
-            EXPECT_EQ(bat[i].variance, seq[i].variance);
-            EXPECT_EQ(bat[i].completeH, seq[i].completeH);
-            EXPECT_EQ(bat[i].shardsExecuted, seq[i].shardsExecuted);
-            EXPECT_EQ(bat[i].shotsExecuted, seq[i].shotsExecuted);
-        }
-    }
-}
-
 std::vector<JobOutcome>
 runEventLoopWorkload(int threads)
 {

@@ -208,68 +208,6 @@ TEST(Expectation, BatchedEstimateMatchesJobOrder)
         EXPECT_EQ(e.circuitsRun, 3);
 }
 
-TEST(Expectation, EnsembleEstimateBitIdenticalToSequential)
-{
-    // estimateEnsemble advances all lanes through each group circuit
-    // in one batched density-matrix pass; results and rng end states
-    // must match per-lane sequential estimate() calls bitwise, for
-    // every thread count and shot mode.
-    VqaProblem p = vqe();
-    Device d = deviceByName("ibmq_bogota");
-    ExpectationEstimator est(p.hamiltonian, p.ansatz);
-    auto compiled = est.compileFor(d.coupling);
-    const int k = 3;
-
-    for (ShotMode mode : {ShotMode::Exact, ShotMode::Multinomial,
-                          ShotMode::Gaussian}) {
-        std::vector<EnergyEstimate> seq(k);
-        std::vector<uint64_t> nextDraw(k);
-        {
-            TaskPool pool(2);
-            for (int m = 0; m < k; ++m) {
-                SimulatedQpu qpu(d, 20 + m);
-                Rng rng(50 + m);
-                seq[m] = est.estimate(qpu, compiled, p.initialParams,
-                                      512, 1.0 + 0.05 * m, rng, mode,
-                                      true, &pool);
-                nextDraw[m] = rng.engine()();
-            }
-        }
-        for (int poolSize : {1, 4}) {
-            TaskPool pool(poolSize);
-            std::vector<std::unique_ptr<SimulatedQpu>> qpus;
-            std::vector<Rng> rngs;
-            for (int m = 0; m < k; ++m) {
-                qpus.push_back(
-                    std::make_unique<SimulatedQpu>(d, 20 + m));
-                rngs.emplace_back(50 + m);
-            }
-            std::vector<ExpectationEstimator::EnsembleLane> lanes(k);
-            for (int m = 0; m < k; ++m) {
-                lanes[m].backend = qpus[m].get();
-                lanes[m].compiled = &compiled;
-                lanes[m].shots = 512;
-                lanes[m].atTimeH = 1.0 + 0.05 * m;
-                lanes[m].rng = &rngs[m];
-            }
-            std::vector<EnergyEstimate> ens = est.estimateEnsemble(
-                lanes, p.initialParams, mode, true, &pool);
-            ASSERT_EQ(ens.size(), static_cast<std::size_t>(k));
-            for (int m = 0; m < k; ++m) {
-                EXPECT_EQ(ens[m].energy, seq[m].energy)
-                    << "mode " << static_cast<int>(mode) << " member "
-                    << m << " pool " << poolSize;
-                EXPECT_EQ(ens[m].variance, seq[m].variance);
-                EXPECT_EQ(ens[m].circuitsRun, seq[m].circuitsRun);
-                EXPECT_EQ(ens[m].measurements, seq[m].measurements);
-                EXPECT_EQ(ens[m].totalDurationUs,
-                          seq[m].totalDurationUs);
-                EXPECT_EQ(rngs[m].engine()(), nextDraw[m]);
-            }
-        }
-    }
-}
-
 TEST(Optimizer, AppliesWeightedStep)
 {
     AsgdOptimizer opt(0.1);
