@@ -16,8 +16,8 @@
  *  - TraceObserver streams telemetry out of the run (weight timeline,
  *    staleness, jobs-per-device, ideal-energy annotation) instead of
  *    baking recording flags into each executor.
- *  - EngineRegistry maps engine names ("virtual", "threaded", future
- *    batched/remote deployments) to factories.
+ *  - EngineRegistry maps engine names ("virtual", "threaded",
+ *    "service", future remote deployments) to factories.
  *
  * Most callers should use the higher-level eqc::Runtime (runtime.h);
  * this layer is for implementing new engines or custom telemetry.
@@ -252,9 +252,10 @@ class ExecutionEngine
 /**
  * String-keyed registry of execution-engine factories.
  *
- * The built-in "virtual" (deterministic discrete-event) and "threaded"
- * (wall-clock scheduler + TaskPool fleet) engines are pre-registered;
- * deployments can add their own (batched, remote, ...) under new names.
+ * The built-in "virtual" (deterministic discrete-event), "threaded"
+ * (wall-clock scheduler + TaskPool fleet) and "service" (gradients
+ * served through a serve::ServiceNode) engines are pre-registered;
+ * deployments can add their own (remote, ...) under new names.
  */
 class EngineRegistry
 {

@@ -34,8 +34,10 @@ struct EqcOptions
     uint64_t seed = 1;
     /**
      * EngineRegistry key of the execution engine to run on. Built-in:
-     * "virtual" (deterministic discrete-event replay) and "threaded"
-     * (wall-clock scheduler fanning compute jobs over a TaskPool).
+     * "virtual" (deterministic discrete-event replay), "threaded"
+     * (wall-clock scheduler fanning compute jobs over a TaskPool) and
+     * "service" (gradients served through a multi-tenant
+     * serve::ServiceNode).
      */
     std::string engine = "virtual";
     /**

@@ -399,7 +399,7 @@ depolThermal2qRange(Complex *rho, uint64_t b, uint64_t e, double lambda,
                     uint64_t kA, uint64_t kB, uint64_t bA, uint64_t bB)
 {
 #ifdef EQC_KERNEL_X86_DISPATCH
-    if (std::min(kA, kB) > 1 && detail::cpuHasAvx2Fma()) {
+    if (std::min(kA, kB) > 1 && detail::cpuHasAvx2()) {
         depolThermal2qRangeAvx2(rho, b, e, lambda, gA, cA, gB, cB, kA,
                                 kB, bA, bB);
         return;

@@ -29,272 +29,6 @@ namespace {
 // accumulation order — bit-identical to the scalar workers.
 
 /**
- * AVX2+FMA widening of the 1q statevector apply: two complex doubles
- * per 256-bit vector, complex multiply as fmaddsub(re·a, im·swap(a)).
- * Compiled with a per-function target attribute and selected at run
- * time (cpuid), so the default portable build still carries it. The
- * anchor-run enumeration is hand-rolled rather than shared through
- * forAnchorRuns: a lambda does not inherit the enclosing function's
- * target attribute, so intrinsics inside it would not compile.
- *
- * Same arithmetic as the scalar path up to FMA rounding (the fused
- * multiply-add keeps the intermediate product exact), well inside the
- * 1e-10 envelope the kernel equivalence tests enforce.
- */
-__attribute__((target("avx2,fma"))) void
-gate1RangeAvx2(Complex *amp, uint64_t b, uint64_t e, const Complex *uIn,
-               uint64_t step)
-{
-    double *d = reinterpret_cast<double *>(amp);
-    const Complex u00 = uIn[0], u01 = uIn[1];
-    const Complex u10 = uIn[2], u11 = uIn[3];
-
-    if (step == 1) {
-        // Qubit 0: the pair (i0, i1) is adjacent in memory, so one
-        // 256-bit load holds the whole 2-vector. Broadcast each
-        // amplitude across lanes and apply both matrix rows at once:
-        // lane 0 gets row 0, lane 1 gets row 1.
-        const __m256d cR0 = _mm256_setr_pd(u00.real(), u00.real(),
-                                           u10.real(), u10.real());
-        const __m256d cI0 = _mm256_setr_pd(u00.imag(), u00.imag(),
-                                           u10.imag(), u10.imag());
-        const __m256d cR1 = _mm256_setr_pd(u01.real(), u01.real(),
-                                           u11.real(), u11.real());
-        const __m256d cI1 = _mm256_setr_pd(u01.imag(), u01.imag(),
-                                           u11.imag(), u11.imag());
-        for (uint64_t t = b; t < e; ++t) {
-            double *p = d + 4 * t;
-            const __m256d va = _mm256_loadu_pd(p);
-            const __m256d a00 = _mm256_permute2f128_pd(va, va, 0x00);
-            const __m256d a11 = _mm256_permute2f128_pd(va, va, 0x11);
-            const __m256d a00s = _mm256_permute_pd(a00, 0x5);
-            const __m256d a11s = _mm256_permute_pd(a11, 0x5);
-            __m256d out = _mm256_fmaddsub_pd(
-                cR0, a00, _mm256_mul_pd(cI0, a00s));
-            out = _mm256_add_pd(
-                out, _mm256_fmaddsub_pd(cR1, a11,
-                                        _mm256_mul_pd(cI1, a11s)));
-            _mm256_storeu_pd(p, out);
-        }
-        return;
-    }
-
-    const __m256d u00r = _mm256_set1_pd(u00.real());
-    const __m256d u00i = _mm256_set1_pd(u00.imag());
-    const __m256d u01r = _mm256_set1_pd(u01.real());
-    const __m256d u01i = _mm256_set1_pd(u01.imag());
-    const __m256d u10r = _mm256_set1_pd(u10.real());
-    const __m256d u10i = _mm256_set1_pd(u10.imag());
-    const __m256d u11r = _mm256_set1_pd(u11.real());
-    const __m256d u11i = _mm256_set1_pd(u11.imag());
-
-    const uint64_t lowMask = step - 1;
-    const uint64_t runCap = step;
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t lo = t & lowMask;
-        const uint64_t anchor =
-            (((t - lo) & ~lowMask) << 1) | ((t - lo) & lowMask);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
-        uint64_t r = 0;
-        for (; r + 2 <= run; r += 2) {
-            double *p0 = d + 2 * (start + r);
-            double *p1 = d + 2 * (start + r + step);
-            const __m256d a0 = _mm256_loadu_pd(p0);
-            const __m256d a1 = _mm256_loadu_pd(p1);
-            const __m256d a0s = _mm256_permute_pd(a0, 0x5);
-            const __m256d a1s = _mm256_permute_pd(a1, 0x5);
-            __m256d n0 = _mm256_fmaddsub_pd(
-                u00r, a0, _mm256_mul_pd(u00i, a0s));
-            n0 = _mm256_add_pd(
-                n0, _mm256_fmaddsub_pd(u01r, a1,
-                                       _mm256_mul_pd(u01i, a1s)));
-            __m256d n1 = _mm256_fmaddsub_pd(
-                u10r, a0, _mm256_mul_pd(u10i, a0s));
-            n1 = _mm256_add_pd(
-                n1, _mm256_fmaddsub_pd(u11r, a1,
-                                       _mm256_mul_pd(u11i, a1s)));
-            _mm256_storeu_pd(p0, n0);
-            _mm256_storeu_pd(p1, n1);
-        }
-        for (; r < run; ++r) {
-            const uint64_t i0 = start + r;
-            const uint64_t i1 = i0 + step;
-            const Complex a0 = amp[i0], a1 = amp[i1];
-            amp[i0] = u00 * a0 + u01 * a1;
-            amp[i1] = u10 * a0 + u11 * a1;
-        }
-        t += run;
-    }
-}
-
-/**
- * AVX2 widening of the 2q statevector apply: two anchors (adjacent in a
- * run) per iteration, four 2-complex vectors in flight. Built from
- * cxMul/cxMulAdd in the exact scalar accumulation order, so the result
- * is bit-identical to gate2Range. Requires min(m0, m1) >= 2 (runs of at
- * least two anchors); the dispatcher keeps qubit-0 operands scalar.
- */
-__attribute__((target("avx2"))) void
-gate2RangeAvx2(Complex *amp, uint64_t b, uint64_t e, const Complex *uIn,
-               uint64_t m0, uint64_t m1)
-{
-    double *d = reinterpret_cast<double *>(amp);
-    Complex u[16];
-    __m256d ur[16], ui[16];
-    for (int j = 0; j < 16; ++j) {
-        u[j] = uIn[j];
-        ur[j] = _mm256_set1_pd(uIn[j].real());
-        ui[j] = _mm256_set1_pd(uIn[j].imag());
-    }
-    const uint64_t lowA = std::min(m0, m1) - 1;
-    const uint64_t lowB = std::max(m0, m1) - 1;
-    const uint64_t runCap = lowA + 1;
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t anchor = depositZeroBit(t - lo, lowA);
-        anchor = depositZeroBit(anchor, lowB);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
-        uint64_t r = 0;
-        for (; r + 2 <= run; r += 2) {
-            const uint64_t i0 = start + r;
-            double *p0 = d + 2 * i0;
-            double *p1 = d + 2 * (i0 + m0);
-            double *p2 = d + 2 * (i0 + m1);
-            double *p3 = d + 2 * (i0 + m0 + m1);
-            const __m256d g0 = _mm256_loadu_pd(p0);
-            const __m256d g1 = _mm256_loadu_pd(p1);
-            const __m256d g2 = _mm256_loadu_pd(p2);
-            const __m256d g3 = _mm256_loadu_pd(p3);
-            __m256d n0 = cxMul(g0, ur[0], ui[0]);
-            n0 = cxMulAdd(n0, g1, ur[1], ui[1]);
-            n0 = cxMulAdd(n0, g2, ur[2], ui[2]);
-            n0 = cxMulAdd(n0, g3, ur[3], ui[3]);
-            __m256d n1 = cxMul(g0, ur[4], ui[4]);
-            n1 = cxMulAdd(n1, g1, ur[5], ui[5]);
-            n1 = cxMulAdd(n1, g2, ur[6], ui[6]);
-            n1 = cxMulAdd(n1, g3, ur[7], ui[7]);
-            __m256d n2 = cxMul(g0, ur[8], ui[8]);
-            n2 = cxMulAdd(n2, g1, ur[9], ui[9]);
-            n2 = cxMulAdd(n2, g2, ur[10], ui[10]);
-            n2 = cxMulAdd(n2, g3, ur[11], ui[11]);
-            __m256d n3 = cxMul(g0, ur[12], ui[12]);
-            n3 = cxMulAdd(n3, g1, ur[13], ui[13]);
-            n3 = cxMulAdd(n3, g2, ur[14], ui[14]);
-            n3 = cxMulAdd(n3, g3, ur[15], ui[15]);
-            _mm256_storeu_pd(p0, n0);
-            _mm256_storeu_pd(p1, n1);
-            _mm256_storeu_pd(p2, n2);
-            _mm256_storeu_pd(p3, n3);
-        }
-        for (; r < run; ++r) {
-            const uint64_t i0 = start + r;
-            const uint64_t i1 = i0 + m0;
-            const uint64_t i2 = i0 + m1;
-            const uint64_t i3 = i1 + m1;
-            const Complex g0 = amp[i0], g1 = amp[i1];
-            const Complex g2 = amp[i2], g3 = amp[i3];
-            amp[i0] = u[0] * g0 + u[1] * g1 + u[2] * g2 + u[3] * g3;
-            amp[i1] = u[4] * g0 + u[5] * g1 + u[6] * g2 + u[7] * g3;
-            amp[i2] = u[8] * g0 + u[9] * g1 + u[10] * g2 + u[11] * g3;
-            amp[i3] = u[12] * g0 + u[13] * g1 + u[14] * g2 + u[15] * g3;
-        }
-        t += run;
-    }
-}
-
-/**
- * AVX2 widening of the fused 1q superoperator (U rho U^dagger per
- * block): two anchors per iteration, bit-identical to superop1Range.
- * Requires kBit >= 2.
- */
-__attribute__((target("avx2"))) void
-superop1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
-                  uint64_t kBit, uint64_t bBit)
-{
-    double *d = reinterpret_cast<double *>(rho);
-    const Complex u00 = uIn[0], u01 = uIn[1];
-    const Complex u10 = uIn[2], u11 = uIn[3];
-    const Complex c00 = std::conj(u00), c01 = std::conj(u01);
-    const Complex c10 = std::conj(u10), c11 = std::conj(u11);
-    const __m256d u00r = _mm256_set1_pd(u00.real());
-    const __m256d u00i = _mm256_set1_pd(u00.imag());
-    const __m256d u01r = _mm256_set1_pd(u01.real());
-    const __m256d u01i = _mm256_set1_pd(u01.imag());
-    const __m256d u10r = _mm256_set1_pd(u10.real());
-    const __m256d u10i = _mm256_set1_pd(u10.imag());
-    const __m256d u11r = _mm256_set1_pd(u11.real());
-    const __m256d u11i = _mm256_set1_pd(u11.imag());
-    const __m256d c00r = _mm256_set1_pd(c00.real());
-    const __m256d c00i = _mm256_set1_pd(c00.imag());
-    const __m256d c01r = _mm256_set1_pd(c01.real());
-    const __m256d c01i = _mm256_set1_pd(c01.imag());
-    const __m256d c10r = _mm256_set1_pd(c10.real());
-    const __m256d c10i = _mm256_set1_pd(c10.imag());
-    const __m256d c11r = _mm256_set1_pd(c11.real());
-    const __m256d c11i = _mm256_set1_pd(c11.imag());
-    const uint64_t lowA = kBit - 1;
-    const uint64_t lowB = bBit - 1;
-    const uint64_t runCap = kBit;
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t anchor = depositZeroBit(t - lo, lowA);
-        anchor = depositZeroBit(anchor, lowB);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
-        uint64_t r = 0;
-        for (; r + 2 <= run; r += 2) {
-            const uint64_t i = start + r;
-            double *p00 = d + 2 * i;
-            double *p01 = d + 2 * (i + bBit);
-            double *p10 = d + 2 * (i + kBit);
-            double *p11 = d + 2 * (i + kBit + bBit);
-            const __m256d b00 = _mm256_loadu_pd(p00);
-            const __m256d b01 = _mm256_loadu_pd(p01);
-            const __m256d b10 = _mm256_loadu_pd(p10);
-            const __m256d b11 = _mm256_loadu_pd(p11);
-            const __m256d t00 =
-                cxMulAdd(cxMul(b00, u00r, u00i), b10, u01r, u01i);
-            const __m256d t01 =
-                cxMulAdd(cxMul(b01, u00r, u00i), b11, u01r, u01i);
-            const __m256d t10 =
-                cxMulAdd(cxMul(b00, u10r, u10i), b10, u11r, u11i);
-            const __m256d t11 =
-                cxMulAdd(cxMul(b01, u10r, u10i), b11, u11r, u11i);
-            _mm256_storeu_pd(
-                p00, cxMulAdd(cxMul(t00, c00r, c00i), t01, c01r, c01i));
-            _mm256_storeu_pd(
-                p01, cxMulAdd(cxMul(t00, c10r, c10i), t01, c11r, c11i));
-            _mm256_storeu_pd(
-                p10, cxMulAdd(cxMul(t10, c00r, c00i), t11, c01r, c01i));
-            _mm256_storeu_pd(
-                p11, cxMulAdd(cxMul(t10, c10r, c10i), t11, c11r, c11i));
-        }
-        for (; r < run; ++r) {
-            const uint64_t i = start + r;
-            const uint64_t iK = i + kBit;
-            const uint64_t iB = i + bBit;
-            const uint64_t iKB = iK + bBit;
-            const Complex b00 = rho[i], b01 = rho[iB];
-            const Complex b10 = rho[iK], b11 = rho[iKB];
-            const Complex t00 = u00 * b00 + u01 * b10;
-            const Complex t01 = u00 * b01 + u01 * b11;
-            const Complex t10 = u10 * b00 + u11 * b10;
-            const Complex t11 = u10 * b01 + u11 * b11;
-            rho[i] = t00 * c00 + t01 * c01;
-            rho[iB] = t00 * c10 + t01 * c11;
-            rho[iK] = t10 * c00 + t11 * c01;
-            rho[iKB] = t10 * c10 + t11 * c11;
-        }
-        t += run;
-    }
-}
-
-/**
  * AVX2 widening of the dense 4x4 channel superoperator apply —
  * the hottest noisy-path kernel (every SX/X rides through it as a
  * composed gate+noise pass). Bit-identical to superopMat1Range.
@@ -316,7 +50,7 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
 
     if (kBit == 1) {
         // Row pairs packed per 128-bit half: lane half 0 applies row a,
-        // half 1 row a+1 (same layout trick as gate1RangeAvx2 step==1).
+        // half 1 row a+1, so one broadcast input feeds both rows.
         __m256d crA[4], ciA[4], crB[4], ciB[4];
         for (int j = 0; j < 4; ++j) {
             crA[j] = _mm256_setr_pd(m[j].real(), m[j].real(),
@@ -499,170 +233,12 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
     }
 }
 
-/**
- * AVX2 widening of the fused 2q superoperator: sixteen 2-complex block
- * vectors in flight per iteration pair, U blk then tmp U^dagger in the
- * exact scalar order. Bit-identical to superop2Range; requires
- * min(mk0, mk1) >= 2.
- */
-__attribute__((target("avx2"))) void
-superop2RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
-                  uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
-{
-    double *d = reinterpret_cast<double *>(rho);
-    Complex u[16], cu[16];
-    __m256d ur[16], ui[16], cr[16], ci[16];
-    for (int j = 0; j < 16; ++j) {
-        u[j] = uIn[j];
-        cu[j] = std::conj(uIn[j]);
-        ur[j] = _mm256_set1_pd(u[j].real());
-        ui[j] = _mm256_set1_pd(u[j].imag());
-        cr[j] = _mm256_set1_pd(cu[j].real());
-        ci[j] = _mm256_set1_pd(cu[j].imag());
-    }
-    uint64_t ketOff[4], braOff[4];
-    for (int j = 0; j < 4; ++j) {
-        ketOff[j] = (j & 1 ? mk0 : 0) | (j & 2 ? mk1 : 0);
-        braOff[j] = (j & 1 ? mb0 : 0) | (j & 2 ? mb1 : 0);
-    }
-    uint64_t lows[4] = {std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
-                        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
-    const uint64_t runCap = lows[0] + 1;
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t anchor = t - lo;
-        for (int m = 0; m < 4; ++m)
-            anchor = depositZeroBit(anchor, lows[m]);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
-        uint64_t x = 0;
-        for (; x + 2 <= run; x += 2) {
-            const uint64_t i = start + x;
-            __m256d blk[16], tmp[16];
-            for (int r = 0; r < 4; ++r)
-                for (int s = 0; s < 4; ++s)
-                    blk[r * 4 + s] = _mm256_loadu_pd(
-                        d + 2 * (i + ketOff[r] + braOff[s]));
-            for (int r = 0; r < 4; ++r) {
-                for (int s = 0; s < 4; ++s) {
-                    __m256d acc =
-                        cxMul(blk[s], ur[4 * r], ui[4 * r]);
-                    acc = cxMulAdd(acc, blk[4 + s], ur[4 * r + 1],
-                                   ui[4 * r + 1]);
-                    acc = cxMulAdd(acc, blk[8 + s], ur[4 * r + 2],
-                                   ui[4 * r + 2]);
-                    acc = cxMulAdd(acc, blk[12 + s], ur[4 * r + 3],
-                                   ui[4 * r + 3]);
-                    tmp[r * 4 + s] = acc;
-                }
-            }
-            for (int r = 0; r < 4; ++r) {
-                for (int s = 0; s < 4; ++s) {
-                    __m256d acc =
-                        cxMul(tmp[r * 4], cr[4 * s], ci[4 * s]);
-                    acc = cxMulAdd(acc, tmp[r * 4 + 1], cr[4 * s + 1],
-                                   ci[4 * s + 1]);
-                    acc = cxMulAdd(acc, tmp[r * 4 + 2], cr[4 * s + 2],
-                                   ci[4 * s + 2]);
-                    acc = cxMulAdd(acc, tmp[r * 4 + 3], cr[4 * s + 3],
-                                   ci[4 * s + 3]);
-                    _mm256_storeu_pd(
-                        d + 2 * (i + ketOff[r] + braOff[s]), acc);
-                }
-            }
-        }
-        for (; x < run; ++x) {
-            const uint64_t i = start + x;
-            Complex blk[4][4], tmp[4][4];
-            for (int r = 0; r < 4; ++r)
-                for (int s = 0; s < 4; ++s)
-                    blk[r][s] = rho[i + ketOff[r] + braOff[s]];
-            for (int r = 0; r < 4; ++r) {
-                const Complex *urow = u + 4 * r;
-                for (int s = 0; s < 4; ++s) {
-                    tmp[r][s] = urow[0] * blk[0][s] +
-                                urow[1] * blk[1][s] +
-                                urow[2] * blk[2][s] + urow[3] * blk[3][s];
-                }
-            }
-            for (int r = 0; r < 4; ++r) {
-                for (int s = 0; s < 4; ++s) {
-                    const Complex *cs = cu + 4 * s;
-                    rho[i + ketOff[r] + braOff[s]] =
-                        tmp[r][0] * cs[0] + tmp[r][1] * cs[1] +
-                        tmp[r][2] * cs[2] + tmp[r][3] * cs[3];
-                }
-            }
-        }
-        t += run;
-    }
-}
-
-/**
- * AVX2 widening of the 2q diagonal superoperator (sixteen elementwise
- * phase-factor streams). Bit-identical to superopDiag2Range; requires
- * min(mk0, mk1) >= 2.
- */
-__attribute__((target("avx2"))) void
-superopDiag2RangeAvx2(Complex *rho, uint64_t b, uint64_t e,
-                      const Complex *dIn, uint64_t mk0, uint64_t mk1,
-                      uint64_t mb0, uint64_t mb1)
-{
-    double *d = reinterpret_cast<double *>(rho);
-    uint64_t off[16];
-    Complex f[16];
-    __m256d fr[16], fi[16];
-    for (int r = 0; r < 4; ++r) {
-        for (int s = 0; s < 4; ++s) {
-            off[r * 4 + s] = ((r & 1 ? mk0 : 0) | (r & 2 ? mk1 : 0)) +
-                             ((s & 1 ? mb0 : 0) | (s & 2 ? mb1 : 0));
-            f[r * 4 + s] = dIn[r] * std::conj(dIn[s]);
-            fr[r * 4 + s] = _mm256_set1_pd(f[r * 4 + s].real());
-            fi[r * 4 + s] = _mm256_set1_pd(f[r * 4 + s].imag());
-        }
-    }
-    uint64_t lows[4] = {std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
-                        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
-    const uint64_t runCap = lows[0] + 1;
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t anchor = t - lo;
-        for (int m = 0; m < 4; ++m)
-            anchor = depositZeroBit(anchor, lows[m]);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
-        uint64_t x = 0;
-        for (; x + 2 <= run; x += 2) {
-            const uint64_t i = start + x;
-            for (int j = 0; j < 16; ++j) {
-                double *p = d + 2 * (i + off[j]);
-                _mm256_storeu_pd(
-                    p, cxMul(_mm256_loadu_pd(p), fr[j], fi[j]));
-            }
-        }
-        for (; x < run; ++x) {
-            const uint64_t i = start + x;
-            for (int j = 0; j < 16; ++j)
-                rho[i + off[j]] *= f[j];
-        }
-        t += run;
-    }
-}
-
 #endif // EQC_KERNEL_X86_DISPATCH
 
 void
 gate1Range(Complex *amp, uint64_t b, uint64_t e, const Complex *uIn,
            uint64_t step)
 {
-#ifdef EQC_KERNEL_X86_DISPATCH
-    if (cpuHasAvx2Fma()) {
-        gate1RangeAvx2(amp, b, e, uIn, step);
-        return;
-    }
-#endif
     const Complex u00 = uIn[0], u01 = uIn[1];
     const Complex u10 = uIn[2], u11 = uIn[3];
     const uint64_t lows[1] = {step - 1};
@@ -694,14 +270,6 @@ void
 gate2Range(Complex *amp, uint64_t b, uint64_t e, const Complex *uIn,
            uint64_t m0, uint64_t m1)
 {
-#ifdef EQC_KERNEL_X86_DISPATCH
-    // Qubit-0 operands degenerate to length-1 anchor runs, which the
-    // two-anchors-per-iteration AVX2 walk cannot pair up — keep scalar.
-    if (std::min(m0, m1) > 1 && cpuHasAvx2Fma()) {
-        gate2RangeAvx2(amp, b, e, uIn, m0, m1);
-        return;
-    }
-#endif
     Complex u[16];
     for (int j = 0; j < 16; ++j)
         u[j] = uIn[j];
@@ -743,12 +311,6 @@ void
 superop1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
               uint64_t kBit, uint64_t bBit)
 {
-#ifdef EQC_KERNEL_X86_DISPATCH
-    if (kBit > 1 && cpuHasAvx2Fma()) {
-        superop1RangeAvx2(rho, b, e, uIn, kBit, bBit);
-        return;
-    }
-#endif
     const Complex u00 = uIn[0], u01 = uIn[1];
     const Complex u10 = uIn[2], u11 = uIn[3];
     const Complex c00 = std::conj(u00), c01 = std::conj(u01);
@@ -781,7 +343,7 @@ superopMat1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
                  uint64_t kBit, uint64_t bBit)
 {
 #ifdef EQC_KERNEL_X86_DISPATCH
-    if (cpuHasAvx2Fma()) {
+    if (cpuHasAvx2()) {
         superopMat1RangeAvx2(rho, b, e, s, kBit, bBit);
         return;
     }
@@ -813,7 +375,7 @@ superopDiag1Range(Complex *rho, uint64_t b, uint64_t e, Complex d0,
                   Complex d1, uint64_t kBit, uint64_t bBit)
 {
 #ifdef EQC_KERNEL_X86_DISPATCH
-    if (cpuHasAvx2Fma()) {
+    if (cpuHasAvx2()) {
         superopDiag1RangeAvx2(rho, b, e, d0, d1, kBit, bBit);
         return;
     }
@@ -838,12 +400,6 @@ void
 superop2Range(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
               uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
 {
-#ifdef EQC_KERNEL_X86_DISPATCH
-    if (std::min(mk0, mk1) > 1 && cpuHasAvx2Fma()) {
-        superop2RangeAvx2(rho, b, e, uIn, mk0, mk1, mb0, mb1);
-        return;
-    }
-#endif
     Complex u[16], cu[16];
     for (int j = 0; j < 16; ++j) {
         u[j] = uIn[j];
@@ -887,12 +443,6 @@ void
 superopDiag2Range(Complex *rho, uint64_t b, uint64_t e, const Complex *dIn,
                   uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
 {
-#ifdef EQC_KERNEL_X86_DISPATCH
-    if (std::min(mk0, mk1) > 1 && cpuHasAvx2Fma()) {
-        superopDiag2RangeAvx2(rho, b, e, dIn, mk0, mk1, mb0, mb1);
-        return;
-    }
-#endif
     uint64_t off[4][4];
     Complex f[4][4];
     for (int r = 0; r < 4; ++r) {

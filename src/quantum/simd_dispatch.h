@@ -5,9 +5,8 @@
  * Hot kernels carry cpuid-dispatched AVX2 variants compiled with
  * per-function target attributes, so the default portable (x86-64
  * baseline) build still ships them and selects at run time. This
- * header centralizes the opt-in test the 1q statevector path
- * introduced so every vectorized kernel (kernel.cc, density_matrix.cc)
- * gates on exactly the same conditions:
+ * header centralizes the gate so every vectorized kernel (kernel.cc,
+ * density_matrix.cc) dispatches on exactly the same conditions:
  *
  *  - x86-64 with a GNU-compatible compiler (per-function target
  *    attributes and __builtin_cpu_supports are available), and
@@ -16,17 +15,14 @@
  *    scalar CI leg or for benchmarking the scalar kernels).
  *
  * When EQC_KERNEL_X86_DISPATCH is defined, <immintrin.h> has been
- * included and cpuHasAvx2Fma() answers the runtime question. The
- * cached cpuid probe asks for AVX2 *and* FMA: the 1q statevector
- * kernel uses fused multiply-adds, and every AVX2-capable
- * microarchitecture ships FMA anyway, so a single gate keeps the
- * dispatch branch predictable everywhere.
+ * included and cpuHasAvx2() answers the runtime question from a
+ * cached cpuid probe.
  *
  * Note for kernel authors: lambdas do NOT inherit the enclosing
  * function's target attribute, so AVX2 loop bodies must be written in
  * plain (attributed) functions — intrinsics inside a lambda passed to
- * forAnchorRuns() fail to compile. See gate1RangeAvx2 in kernel.cc for
- * the canonical shape.
+ * forAnchorRuns() fail to compile. See superopMat1RangeAvx2 in
+ * kernel.cc for the canonical shape.
  */
 
 #ifndef EQC_QUANTUM_SIMD_DISPATCH_H
@@ -57,12 +53,11 @@ simdDispatchForcedOff()
 
 #ifdef EQC_KERNEL_X86_DISPATCH
 
-/** Cached cpuid probe: this machine runs the AVX2(+FMA) variants. */
+/** Cached cpuid probe: this machine runs the AVX2 variants. */
 inline bool
-cpuHasAvx2Fma()
+cpuHasAvx2()
 {
-    static const bool ok = __builtin_cpu_supports("avx2") &&
-                           __builtin_cpu_supports("fma");
+    static const bool ok = __builtin_cpu_supports("avx2");
     return ok && !simdDispatchForcedOff();
 }
 
@@ -71,14 +66,12 @@ cpuHasAvx2Fma()
  * scalar std::complex formula — mul/addsub only, deliberately no FMA:
  *   re = a.re * c.re - a.im * c.im
  *   im = a.im * c.re + a.re * c.im   (commuted sum, bitwise equal)
- * The 2q/superoperator AVX2 kernel variants are built from this helper
- * plus plain adds in the scalar accumulation order, which makes the
- * vector paths *bit-identical* to the scalar kernels (not merely
- * close). That is what lets every vector variant be tested bitwise
- * against its scalar twin through simdDispatchForcedOff(), and keeps
- * results independent of which variant a machine dispatches to.
- * (The 1q statevector kernel predates this rule and keeps its
- * fmaddsub form under the 1e-10 test envelope.)
+ * The AVX2 kernel variants are built from this helper plus plain adds
+ * in the scalar accumulation order, which makes the vector paths
+ * *bit-identical* to the scalar kernels (not merely close). That is
+ * what lets every vector variant be tested bitwise against its scalar
+ * twin through simdDispatchForcedOff(), and keeps results independent
+ * of which variant a machine dispatches to.
  *
  * @p cr / @p ci broadcast the multiplier: set1 for a shared
  * coefficient, or per-128-bit-lane values to apply different

@@ -2,7 +2,8 @@
  * @file
  * Randomized equivalence tests for the fast simulation kernels against
  * the reference implementation (detail::applyOperatorKernel), plus
- * bit-determinism of block-parallel apply across task-pool sizes.
+ * bit-determinism of block-parallel apply across task-pool sizes and
+ * of every AVX2 kernel against its scalar twin.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +13,14 @@
 
 #include "common/rng.h"
 #include "common/task_pool.h"
+#include "device/backend.h"
+#include "device/catalog.h"
 #include "quantum/density_matrix.h"
 #include "quantum/gates.h"
 #include "quantum/kernel.h"
 #include "quantum/kraus.h"
 #include "quantum/simd_dispatch.h"
+#include "support/run_helpers.h"
 
 namespace eqc {
 namespace {
@@ -418,35 +422,16 @@ expectSimdMatchesScalar(uint64_t dim, uint64_t seed, Fn &&apply)
     EXPECT_TRUE(identical);
 }
 
-TEST(Kernel, SimdGate2BitIdenticalToScalar)
-{
-    const uint64_t dim = uint64_t{1} << 10;
-    CMatrix u = randomMatrix(4, 401);
-    // Includes qubit-0/1 pairs: short anchor runs take the scalar
-    // fallback inside the dispatched build, which must also match.
-    for (auto [a, b] : {std::pair<int, int>{2, 7}, {0, 3}, {5, 1},
-                        {8, 9}, {9, 2}})
-        expectSimdMatchesScalar(dim, 403 + a + 11 * b, [&](CVector &v) {
-            detail::applyGate2(v.data(), dim, flat(u).data(), a, b,
-                               nullptr);
-        });
-}
-
 TEST(Kernel, SimdSuperopsBitIdenticalToScalar)
 {
     const int n = 5;
     const uint64_t full = uint64_t{1} << (2 * n);
-    CMatrix u1 = randomMatrix(2, 419);
-    CMatrix u2 = randomMatrix(4, 421);
     const Complex d2[2] = {Complex(0.6, 0.8), Complex(-0.8, 0.6)};
-    const Complex d4[4] = {Complex(1, 0), Complex(0.6, 0.8),
-                           Complex(-1, 0), Complex(0.8, -0.6)};
     KrausChannel ch = thermalRelaxation(80.0, 60.0, 1.5);
+    // A dense random matrix too: the channel's superoperator is mostly
+    // zeros, which hides a reordered accumulation.
+    const std::vector<Complex> dense = flat(randomMatrix(4, 419));
     for (int q = 0; q < n; ++q) {
-        expectSimdMatchesScalar(full, 431 + q, [&](CVector &v) {
-            detail::applySuperop1(v.data(), n, flat(u1).data(), q,
-                                  nullptr);
-        });
         expectSimdMatchesScalar(full, 433 + q, [&](CVector &v) {
             detail::applySuperopDiag1(v.data(), n, d2, q, nullptr);
         });
@@ -455,15 +440,9 @@ TEST(Kernel, SimdSuperopsBitIdenticalToScalar)
                                      ch.superopMatrix().data(), q,
                                      nullptr);
         });
-    }
-    for (auto [a, b] :
-         {std::pair<int, int>{0, 1}, {2, 4}, {3, 0}, {1, 3}}) {
-        expectSimdMatchesScalar(full, 443 + a + 7 * b, [&](CVector &v) {
-            detail::applySuperop2(v.data(), n, flat(u2).data(), a, b,
-                                  nullptr);
-        });
-        expectSimdMatchesScalar(full, 449 + a + 7 * b, [&](CVector &v) {
-            detail::applySuperopDiag2(v.data(), n, d4, a, b, nullptr);
+        expectSimdMatchesScalar(full, 443 + q, [&](CVector &v) {
+            detail::applySuperopMat1(v.data(), n, dense.data(), q,
+                                     nullptr);
         });
     }
 }
@@ -489,6 +468,36 @@ TEST(Kernel, SimdDepolThermal2qBitIdenticalToScalar)
             for (uint64_t c = 0; identical && c < fast.dim(); ++c)
                 identical = fast.element(r, c) == scalar.element(r, c);
         EXPECT_TRUE(identical);
+    }
+}
+
+/**
+ * Whole-execute differential: SimulatedQpu::execute on random
+ * transpiled circuits must give bitwise-equal probabilities with SIMD
+ * dispatch on and forced off, on both the noisy density-matrix path
+ * and the noiseless statevector path. Catches a dispatched kernel that
+ * drifts from its scalar twin anywhere the per-kernel cases miss.
+ */
+TEST(Kernel, SimdExecuteBitIdenticalToScalar)
+{
+    const int n = 5;
+    const std::vector<double> params = {0.37, -1.21};
+    for (const Device &dev :
+         {deviceByName("ibmq_quito"), makeIdealDevice(n)}) {
+        for (uint64_t seed = 0; seed < 4; ++seed) {
+            Rng circuitRng(461 + seed);
+            QuantumCircuit c = randomCircuit(circuitRng, n, 40, 2, true);
+            c.measureAll();
+            TranspiledCircuit tc = transpile(c, dev.coupling);
+            SimulatedQpu qpu(dev, 7);
+            Rng rng(1);
+            JobResult fast = qpu.execute(tc, params, 0, 2.5, rng, false);
+            detail::simdDispatchForcedOff() = true;
+            JobResult scalar = qpu.execute(tc, params, 0, 2.5, rng, false);
+            detail::simdDispatchForcedOff() = false;
+            EXPECT_TRUE(fast.probabilities == scalar.probabilities)
+                << dev.name << " seed " << seed;
+        }
     }
 }
 
