@@ -94,9 +94,9 @@ main()
                 bogota.epochsPerHour, finalEnergy(bogota, 5));
 
     // Submit the ensemble run through the Runtime: pick an engine by
-    // name ("virtual" = deterministic replay, "threaded" = real
-    // std::thread fleet), get a JobHandle back, attach observers for
-    // streaming telemetry.
+    // name ("virtual" = deterministic replay, "service" = gradients
+    // served through a ServiceNode), get a JobHandle back, attach
+    // observers for streaming telemetry.
     EqcOptions opts;
     opts.master.epochs = 40;
     opts.master.weightBounds = {0.5, 1.5}; // the paper's Sec. V-D knob

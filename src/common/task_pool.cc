@@ -91,75 +91,17 @@ TaskPool::workerLoop()
 {
     uint64_t seen = 0;
     for (;;) {
-        std::function<void()> job;
         {
             std::unique_lock<std::mutex> lk(mu_);
             workCv_.wait(lk, [&] {
-                return stop_ || (jobSeq_ != seen && chunksLeft_ > 0) ||
-                       !asyncJobs_.empty();
+                return stop_ || (jobSeq_ != seen && chunksLeft_ > 0);
             });
             if (stop_)
                 return;
-            if (jobSeq_ != seen && chunksLeft_ > 0) {
-                // Chunk work first: parallel-for callers are blocked
-                // on it, async submitters are not.
-                seen = jobSeq_;
-            } else {
-                AsyncJob aj = std::move(asyncJobs_.front());
-                asyncJobs_.pop_front();
-                ++asyncActive_;
-                if (asyncWaitS_)
-                    asyncWaitS_->observe(
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() -
-                            aj.enqueued)
-                            .count());
-                job = std::move(aj.fn);
-            }
-        }
-        if (job) {
-            if (activeWorkers_)
-                activeWorkers_->add(1.0);
-            job();
-            if (activeWorkers_)
-                activeWorkers_->add(-1.0);
-            std::lock_guard<std::mutex> lk(mu_);
-            if (--asyncActive_ == 0 && asyncJobs_.empty())
-                asyncCv_.notify_all();
-            continue;
+            seen = jobSeq_;
         }
         runChunks();
     }
-}
-
-void
-TaskPool::async(std::function<void()> job)
-{
-    if (ctrAsync_)
-        ++*ctrAsync_;
-    if (workers_.empty()) {
-        if (asyncWaitS_)
-            asyncWaitS_->observe(0.0);
-        job();
-        return;
-    }
-    AsyncJob aj;
-    aj.fn = std::move(job);
-    if (asyncWaitS_)
-        aj.enqueued = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        asyncJobs_.push_back(std::move(aj));
-    }
-    workCv_.notify_one();
-}
-
-void
-TaskPool::drainAsync()
-{
-    std::unique_lock<std::mutex> lk(mu_);
-    asyncCv_.wait(lk,
-                  [&] { return asyncJobs_.empty() && asyncActive_ == 0; });
 }
 
 void
@@ -249,12 +191,6 @@ TaskPool::instrument(obs::MetricsRegistry &m)
                              "Parallel-for fan-outs submitted");
     ctrInline_ = m.counter("eqc_pool_inline_total",
                            "Parallel calls degraded to inline runs");
-    ctrAsync_ = m.counter("eqc_pool_async_total",
-                          "Async jobs submitted");
-    asyncWaitS_ = m.histogram(
-        "eqc_pool_async_wait_seconds",
-        {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0},
-        "Async queue wait, enqueue to first execution");
     activeWorkers_ = m.gauge("eqc_pool_active_workers",
                              "Participants executing work right now");
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Small persistent thread pool used to shard disjoint index ranges
- * across threads (block-parallel kernel apply, future engine fan-out).
+ * across threads (block-parallel kernel apply, gradient-job fan-out).
  *
  * The pool hands each participant a contiguous chunk of the range, so a
  * caller whose chunks write disjoint memory gets bit-identical results
@@ -12,10 +12,8 @@
 #ifndef EQC_COMMON_TASK_POOL_H
 #define EQC_COMMON_TASK_POOL_H
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -72,29 +70,15 @@ class TaskPool
                       const std::function<void(uint64_t, uint64_t)> &body);
 
     /**
-     * Enqueue one independent job for asynchronous execution by the
-     * resident workers and return immediately. With no resident
-     * workers (a 1-thread pool) the job runs inline before returning.
-     * Async jobs and parallel-for chunks share the worker fleet; a
-     * worker prefers chunk work so parallel-for latency stays low.
-     */
-    void async(std::function<void()> job);
-
-    /** Block until every async job submitted so far has finished. */
-    void drainAsync();
-
-    /**
      * Process-wide pool sized from the EQC_THREADS environment variable
      * when set, otherwise std::thread::hardware_concurrency().
      */
     static TaskPool &shared();
 
     /**
-     * Publish pool telemetry into @p m: fan-out / inline-degrade /
-     * async-job counters, an async queue-wait histogram (wall-clock
-     * seconds from enqueue to first execution) and an active-worker
-     * gauge. Call once, before the pool sees work; uninstrumented
-     * pools pay only a null check per event.
+     * Publish pool telemetry into @p m: fan-out and inline-degrade
+     * counters and an active-worker gauge. Call once, before the pool
+     * sees work; uninstrumented pools pay only a null check per event.
      */
     void instrument(obs::MetricsRegistry &m);
 
@@ -121,21 +105,9 @@ class TaskPool
     int pending_ = 0;      ///< chunks claimed but not yet finished
     bool stop_ = false;
 
-    std::condition_variable asyncCv_;
-    /** One queued async job (enqueue time set when instrumented). */
-    struct AsyncJob
-    {
-        std::function<void()> fn;
-        std::chrono::steady_clock::time_point enqueued;
-    };
-    std::deque<AsyncJob> asyncJobs_;
-    int asyncActive_ = 0;  ///< async jobs currently executing
-
     // Optional telemetry (see instrument()); null when unattached.
     obs::Counter *ctrParallel_ = nullptr;
     obs::Counter *ctrInline_ = nullptr;
-    obs::Counter *ctrAsync_ = nullptr;
-    obs::Histogram *asyncWaitS_ = nullptr;
     obs::Gauge *activeWorkers_ = nullptr;
 };
 

@@ -111,11 +111,11 @@ RunContext::applyResult(std::size_t ci,
             bottomStreak_[ci] = 0;
         }
     }
-    recordEpochs(ci);
+    recordEpochs();
 }
 
 void
-RunContext::recordEpochs(std::size_t applyingCi)
+RunContext::recordEpochs()
 {
     // Pull epoch records as soon as the master's epoch counter advances.
     while (static_cast<int>(trace_.epochs.size()) <
@@ -125,15 +125,9 @@ RunContext::recordEpochs(std::size_t applyingCi)
         EpochRecord rec;
         rec.epoch = static_cast<int>(trace_.epochs.size());
         rec.timeH = nowH_;
-        // Diagnostic energy on an ensemble member (round-robin where
-        // the engine allows it), so the plotted curve carries the
-        // mixture's measurement noise.
-        std::size_t evalCi =
-            epochEvalPolicy_ == EpochEvalPolicy::RoundRobin
-                ? rrEval_ % ensemble_.size()
-                : applyingCi;
-        ++rrEval_;
-        ClientNode &ev = ensemble_.client(evalCi);
+        // Diagnostic energy on an ensemble member, round-robin, so the
+        // plotted curve carries the mixture's measurement noise.
+        ClientNode &ev = ensemble_.client(rrEval_++ % ensemble_.size());
         rec.energyDevice =
             ev.evaluateEnergy(master_.params(), nowH_, enginePool_);
         for (TraceObserver *obs : observers_)
@@ -163,10 +157,9 @@ RunContext::finish()
 // ---------------------------------------------------------------------------
 
 EngineRegistry::EngineRegistry()
+    : factories_{{"virtual", &makeVirtualEngine},
+                 {"service", &makeServiceEngine}}
 {
-    factories_["virtual"] = [] { return makeVirtualEngine(); };
-    factories_["threaded"] = [] { return makeThreadedEngine(); };
-    factories_["service"] = [] { return makeServiceEngine(); };
 }
 
 EngineRegistry &
@@ -176,24 +169,15 @@ EngineRegistry::instance()
     return registry;
 }
 
-void
-EngineRegistry::add(const std::string &name, Factory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    factories_[name] = std::move(factory);
-}
-
 bool
 EngineRegistry::has(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     return factories_.count(name) > 0;
 }
 
 std::unique_ptr<ExecutionEngine>
 EngineRegistry::create(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = factories_.find(name);
     if (it == factories_.end()) {
         std::ostringstream msg;
@@ -209,7 +193,6 @@ EngineRegistry::create(const std::string &name) const
 std::vector<std::string>
 EngineRegistry::names() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> out;
     out.reserve(factories_.size());
     for (const auto &[key, factory] : factories_)

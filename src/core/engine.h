@@ -4,20 +4,20 @@
  *
  * The paper's master/client protocol (Alg. 1 / Alg. 2) is
  * deployment-agnostic: the same semantics run on a discrete-event
- * simulator or a Ray-style threaded fleet. This header pins that
+ * simulator or behind a serving node. This header pins that
  * separation down as an API:
  *
  *  - RunContext owns everything deployment-independent about one EQC
  *    job: the ensemble, the master, the adaptive cooldown policy, the
  *    round-robin epoch evaluation, and the trace under construction.
  *  - ExecutionEngine is the deployment: it decides *when* clients pull
- *    tasks and *how* latencies elapse (virtual clock vs wall clock),
- *    and drives the shared RunContext for everything else.
+ *    tasks and *how* latencies elapse, and drives the shared
+ *    RunContext for everything else, from one thread.
  *  - TraceObserver streams telemetry out of the run (weight timeline,
  *    staleness, jobs-per-device, ideal-energy annotation) instead of
  *    baking recording flags into each executor.
- *  - EngineRegistry maps engine names ("virtual", "threaded",
- *    "service", future remote deployments) to factories.
+ *  - EngineRegistry maps engine names ("virtual", "service") to
+ *    factories.
  *
  * Most callers should use the higher-level eqc::Runtime (runtime.h);
  * this layer is for implementing new engines or custom telemetry.
@@ -26,10 +26,8 @@
 #ifndef EQC_CORE_ENGINE_H
 #define EQC_CORE_ENGINE_H
 
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,8 +44,8 @@ class TaskPool;
  *
  * Engines invoke these through RunContext while the run is in flight,
  * so telemetry is observed as it happens rather than reconstructed from
- * the finished trace. Calls are serialized by the same discipline as
- * RunContext::applyResult (the threaded engine holds its master mutex).
+ * the finished trace. Engines call these hooks from one thread, the one
+ * driving RunContext::applyResult.
  */
 class TraceObserver
 {
@@ -106,24 +104,13 @@ class IdealEnergyObserver : public TraceObserver
  * update rule, the adaptive cooldown policy, round-robin epoch
  * evaluation, and trace/telemetry recording.
  *
- * RunContext is not internally synchronized: single-threaded engines
- * use it directly, concurrent engines must serialize applyResult /
- * cooldownUntil / done under one lock (see threaded_executor.cc).
+ * RunContext is not internally synchronized: engines call it from one
+ * thread (gradient computations may fan out on a TaskPool, but results
+ * are applied by the thread driving the run).
  */
 class RunContext
 {
   public:
-    /**
-     * Which ensemble member evaluates the diagnostic energy of a
-     * finalized epoch. RoundRobin cycles through the ensemble (the
-     * deterministic DES default); ApplyingClient uses the client
-     * whose result is being applied — required by concurrent engines,
-     * where that client's worker is provably idle (it is the thread
-     * inside applyResult) while any other member may be mid-process()
-     * on its own thread.
-     */
-    enum class EpochEvalPolicy { RoundRobin, ApplyingClient };
-
     /**
      * @param problem the VQA under optimization (copied, so the
      *        context is self-contained and cannot dangle; the copy is
@@ -145,12 +132,6 @@ class RunContext
     EqcTrace &trace() { return trace_; }
 
     std::size_t numClients() const { return ensemble_.size(); }
-
-    /** Engines choose their epoch-evaluation client before starting. */
-    void setEpochEvalPolicy(EpochEvalPolicy policy)
-    {
-        epochEvalPolicy_ = policy;
-    }
 
     /**
      * Fan-out pool the run's diagnostic evaluations use (epoch-energy
@@ -193,9 +174,7 @@ class RunContext
     /**
      * Apply one completed gradient at virtual time @p nowH: master
      * update, streamed telemetry, adaptive cooldown bookkeeping, and
-     * epoch recording. Engines must serialize calls (the DES engine is
-     * single-threaded by construction; the threaded engine wraps this
-     * in its master mutex).
+     * epoch recording. Called from the thread driving the run.
      */
     void applyResult(std::size_t ci, const ClientNode::Processed &processed,
                      double nowH);
@@ -207,7 +186,7 @@ class RunContext
     EqcTrace takeTrace() { return std::move(trace_); }
 
   private:
-    void recordEpochs(std::size_t applyingCi);
+    void recordEpochs();
 
     VqaProblem problem_;
     EqcOptions options_;
@@ -220,7 +199,6 @@ class RunContext
     Clock *clock_ = &ownClock_;
     std::vector<int> bottomStreak_;
     std::vector<double> cooldownUntil_;
-    EpochEvalPolicy epochEvalPolicy_ = EpochEvalPolicy::RoundRobin;
     std::size_t rrEval_ = 0;
     double nowH_ = 0.0;
     double lastCompletionH_ = 0.0;
@@ -239,7 +217,7 @@ class ExecutionEngine
   public:
     virtual ~ExecutionEngine() = default;
 
-    /** Registry key of this engine ("virtual", "threaded", ...). */
+    /** Registry key of this engine ("virtual", "service"). */
     virtual std::string name() const = 0;
 
     /**
@@ -252,21 +230,15 @@ class ExecutionEngine
 /**
  * String-keyed registry of execution-engine factories.
  *
- * The built-in "virtual" (deterministic discrete-event), "threaded"
- * (wall-clock scheduler + TaskPool fleet) and "service" (gradients
- * served through a serve::ServiceNode) engines are pre-registered;
- * deployments can add their own (remote, ...) under new names.
+ * Holds the built-in "virtual" (deterministic discrete-event) and
+ * "service" (gradients served through a serve::ServiceNode) engines,
+ * registered once when the registry is first used.
  */
 class EngineRegistry
 {
   public:
-    using Factory = std::function<std::unique_ptr<ExecutionEngine>()>;
-
     /** The process-wide registry. */
     static EngineRegistry &instance();
-
-    /** Register (or replace) the factory for @p name. */
-    void add(const std::string &name, Factory factory);
 
     /** true when an engine named @p name is registered. */
     bool has(const std::string &name) const;
@@ -282,10 +254,12 @@ class EngineRegistry
     std::vector<std::string> names() const;
 
   private:
+    using Factory = std::unique_ptr<ExecutionEngine> (*)();
+
     EngineRegistry();
 
-    mutable std::mutex mutex_;
-    std::map<std::string, Factory> factories_;
+    /** Filled once by the constructor; read-only afterwards. */
+    const std::map<std::string, Factory> factories_;
 };
 
 /**
@@ -294,13 +268,6 @@ class EngineRegistry
  * bit-identical for every thread count (see EqcOptions::engineThreads).
  */
 std::unique_ptr<ExecutionEngine> makeVirtualEngine();
-
-/**
- * Factory for the wall-clock engine ("threaded"): a single scheduler
- * thread owns the master, compute jobs run as TaskPool async tasks.
- * Intentionally non-deterministic (arrival order is the experiment).
- */
-std::unique_ptr<ExecutionEngine> makeThreadedEngine();
 
 /**
  * Factory for the serving-layer engine ("service"): gradients are

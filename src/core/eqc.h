@@ -34,17 +34,10 @@ struct EqcOptions
     uint64_t seed = 1;
     /**
      * EngineRegistry key of the execution engine to run on. Built-in:
-     * "virtual" (deterministic discrete-event replay), "threaded"
-     * (wall-clock scheduler fanning compute jobs over a TaskPool) and
-     * "service" (gradients served through a multi-tenant
-     * serve::ServiceNode).
+     * "virtual" (deterministic discrete-event replay) and "service"
+     * (gradients served through a multi-tenant serve::ServiceNode).
      */
     std::string engine = "virtual";
-    /**
-     * Threaded engine only: virtual hours simulated per wall-clock
-     * second (queue latencies become scaled sleeps).
-     */
-    double hoursPerWallSecond = 50.0;
     /**
      * Size of the TaskPool the engines fan independent gradient jobs
      * out on: 0 uses the process-wide shared pool (sized by

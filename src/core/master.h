@@ -5,10 +5,10 @@
  * Holds the global parameter vector and the loss definition, hands out
  * parameter-differentiation tasks cyclically to whichever client is
  * free, and applies returned gradients with the weighted ASGD rule
- * (Eq. 4). The master is execution-engine agnostic: the virtual (DES)
- * executor and the threaded executor both drive this same class, so the
- * asynchronous semantics — stale gradients, cyclic parameter order,
- * bounded delay — are identical in both deployments.
+ * (Eq. 4). The master is execution-engine agnostic: every engine
+ * drives this same class through RunContext, so the asynchronous
+ * semantics — stale gradients, cyclic parameter order, bounded delay —
+ * come only from job latencies, never from the deployment.
  */
 
 #ifndef EQC_CORE_MASTER_H

@@ -3,9 +3,9 @@
  * eqc::Runtime — the public entry point of the EQC library.
  *
  * A Runtime accepts EQC jobs (problem + device list + options), picks
- * the execution engine named by the options ("virtual" DES replay,
- * "threaded" wall-clock TaskPool fleet, or anything registered with
- * the EngineRegistry), and hands back a JobHandle that carries the
+ * the execution engine named by the options ("virtual" DES replay or
+ * "service" ServiceNode-backed gradients; see EngineRegistry), and
+ * hands back a JobHandle that carries the
  * resulting EqcTrace. Jobs are queued at submit time; they execute
  * either on first JobHandle::get()/take() (inline, lazily) or all at
  * once via Runtime::runAll(), which fans independent jobs across

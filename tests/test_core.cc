@@ -344,30 +344,5 @@ TEST(EqcVirtual, AdaptivePolicyCoolsDownBadDevices)
     ASSERT_EQ(trace.epochs.size(), 40u);
 }
 
-TEST(EqcThreaded, RunsAndConverges)
-{
-    VqaProblem p = makeHeisenbergVqe();
-    std::vector<Device> devices = {deviceByName("ibmq_bogota"),
-                                   deviceByName("ibmq_manila"),
-                                   deviceByName("ibmq_quito"),
-                                   deviceByName("ibmqx2")};
-    EqcOptions opts;
-    opts.master.epochs = 20;
-    opts.seed = 6;
-    // Aggressive time scale so the test stays fast; wall compute time
-    // counts against the virtual budget, so lift the termination rule.
-    opts.maxHours = 1e7;
-    opts.engine = "threaded";
-    opts.hoursPerWallSecond = 3000.0;
-    Runtime runtime;
-    EqcTrace trace = runtime.submit(p, devices, opts).take();
-    EXPECT_FALSE(trace.terminated);
-    ASSERT_EQ(trace.epochs.size(), 20u);
-    double start = trace.epochs.front().energyIdeal;
-    double end = trace.epochs.back().energyIdeal;
-    EXPECT_LT(end, start + 0.5); // must not diverge
-    EXPECT_GE(trace.jobsPerDevice.size(), 2u);
-}
-
 } // namespace
 } // namespace eqc

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <thread>
 
 #include "common/rng.h"
 #include "common/task_pool.h"
@@ -546,32 +549,37 @@ TEST(TaskPool, ParallelJobsFansOutSmallCounts)
     }
 }
 
-TEST(TaskPool, AsyncJobsRunAndDrain)
+TEST(TaskPool, ConcurrentSubmittersEachCoverTheirRange)
 {
+    // Two threads submit to one pool at once: whichever loses the
+    // submit gate runs its whole range inline, so both ranges must
+    // still be covered exactly once, round after round.
     TaskPool pool(3);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 20; ++i)
-        pool.async([&done] { ++done; });
-    pool.drainAsync();
-    EXPECT_EQ(done.load(), 20);
-
-    // Async jobs may themselves use the pool's parallel-for without
-    // deadlocking (a busy pool degrades to inline execution).
-    std::atomic<uint64_t> covered{0};
-    pool.async([&] {
-        pool.parallelFor(0, 10000, [&](uint64_t b, uint64_t e) {
-            covered += e - b;
-        });
-    });
-    pool.drainAsync();
-    EXPECT_EQ(covered.load(), uint64_t{10000});
-
-    // A 1-thread pool has no resident workers: async runs inline.
-    TaskPool serial(1);
-    int ran = 0;
-    serial.async([&ran] { ++ran; });
-    EXPECT_EQ(ran, 1);
-    serial.drainAsync();
+    const int rounds = 300;
+    std::atomic<int> ready{0};
+    auto submitter = [&](uint64_t count, int &badRounds) {
+        ++ready;
+        while (ready.load() < 2)
+            std::this_thread::yield();
+        std::vector<int> hits(count);
+        for (int r = 0; r < rounds; ++r) {
+            std::fill(hits.begin(), hits.end(), 0);
+            pool.parallelFor(0, count, [&](uint64_t b, uint64_t e) {
+                for (uint64_t i = b; i < e; ++i)
+                    ++hits[i];
+            });
+            if (std::count(hits.begin(), hits.end(), 1) !=
+                static_cast<std::ptrdiff_t>(count))
+                ++badRounds;
+        }
+    };
+    int badA = 0, badB = 0;
+    std::thread a(submitter, uint64_t{4099}, std::ref(badA));
+    std::thread b(submitter, uint64_t{1031}, std::ref(badB));
+    a.join();
+    b.join();
+    EXPECT_EQ(badA, 0);
+    EXPECT_EQ(badB, 0);
 }
 
 TEST(TaskPool, NestedParallelForFallsBackInline)
