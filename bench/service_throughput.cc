@@ -34,9 +34,10 @@
  *
  * Router tier: --nodes N (N >= 1) replaces the single ServiceNode
  * with a serve::Router fronting N nodes — each fronting its own copy
- * of the evaluation ensemble, each drained by its own serve thread
- * (threadedDrain) with inline shard execution, so jobs/sec scales
- * with node-level concurrency. Requests consistent-hash by
+ * of the evaluation ensemble. Submissions admit inline; the nodes
+ * drain side by side on the Router's fork-join pool (threadedDrain)
+ * with inline shard execution, so jobs/sec scales with node-level
+ * concurrency. Requests consistent-hash by
  * (workload, binding); capacity rejections overflow along the ring.
  * --nodes 1 is the Router baseline the scaling numbers compare
  * against (same per-node resources); omitting --nodes keeps the
@@ -183,8 +184,8 @@ main(int argc, char **argv)
             static_cast<std::size_t>(depth);
 
     // Legacy path: one ServiceNode, shards fanned out on the shared
-    // pool. Router path (--nodes): N nodes, each with its own serve
-    // thread and inline shards — scaling comes from node concurrency.
+    // pool. Router path (--nodes): N nodes drained concurrently with
+    // inline shards — scaling comes from node concurrency.
     std::unique_ptr<ServiceNode> single;
     std::unique_ptr<Router> router;
     VqaProblem vqe = makeHeisenbergVqe();
@@ -201,7 +202,7 @@ main(int argc, char **argv)
         wVqe = router->registerWorkload(vqe.ansatz, vqe.hamiltonian);
         wQaoa =
             router->registerWorkload(qaoa.ansatz, qaoa.hamiltonian);
-        std::printf("router: nodes=%d (one serve thread each) "
+        std::printf("router: nodes=%d (threaded node drains) "
                     "vnodes=%d forward hops=%d\n",
                     nodes, router->options().virtualNodes,
                     router->options().forwardHops);

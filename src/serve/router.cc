@@ -146,10 +146,7 @@ Router::Router(RouterOptions options)
 {
 }
 
-Router::~Router()
-{
-    stopServe();
-}
+Router::~Router() = default;
 
 std::size_t
 Router::addNode(std::vector<Device> devices, ServiceOptions options,
@@ -217,26 +214,13 @@ Router::threadedActive() const
            !nodes_.empty();
 }
 
-void
-Router::ensureServing()
-{
-    if (!threadedActive())
-        return;
-    for (NodeSlot &s : nodes_)
-        if (!s.node->serving())
-            s.node->startServe(s.pool.get());
-}
-
 Ticket
 Router::submitToNode(std::size_t n, const JobRequest &request,
                      uint64_t ruid)
 {
     NodeSlot &s = nodes_[n];
     s.stamp->pendingRuid = ruid;
-    // postSubmit hands off through the MPMC intake ring when the
-    // node's serve thread runs, and is a plain inline submit()
-    // otherwise — either way the verdict is the node's own.
-    const Ticket t = s.node->postSubmit(request);
+    const Ticket t = s.node->submit(request);
     s.stamp->pendingRuid = 0;
     return t;
 }
@@ -246,7 +230,6 @@ Router::submit(const JobRequest &request)
 {
     if (nodes_.empty())
         return Ticket{}; // no fleet: RejectedBadRequest, no id
-    ensureServing();
 
     const uint64_t ruid = nextRuid_++;
     // Every hop of one routed request shares a trace id (the ruid,
@@ -343,28 +326,29 @@ Router::drain()
 std::vector<JobOutcome>
 Router::runUntil(double limitH)
 {
-    std::vector<JobOutcome> all;
+    // Each node drains into its own slot. Nodes are independent
+    // (disjoint ensembles, id spans and pools), so running them side
+    // by side gives the same bits as running them one after another.
+    std::vector<std::vector<JobOutcome>> got(nodes_.size());
+    auto drainNodes = [&](uint64_t b, uint64_t e) {
+        for (uint64_t i = b; i < e; ++i) {
+            NodeSlot &s = nodes_[i];
+            got[i] = std::isfinite(limitH)
+                         ? s.node->runUntil(limitH, s.pool.get())
+                         : s.node->drain(s.pool.get());
+        }
+    };
     if (threadedActive()) {
-        ensureServing();
-        // Barrier drain: every node runs its loop concurrently on its
-        // own serve thread; the await is the barrier.
-        for (NodeSlot &s : nodes_)
-            s.node->requestDrain(limitH);
-        for (NodeSlot &s : nodes_)
-            s.node->awaitDrain();
-        for (NodeSlot &s : nodes_) {
-            std::vector<JobOutcome> got = s.node->collectCompleted();
-            all.insert(all.end(), got.begin(), got.end());
-        }
+        if (!drainPool_)
+            drainPool_ = std::make_unique<TaskPool>(
+                static_cast<int>(nodes_.size()));
+        drainPool_->parallelJobs(nodes_.size(), drainNodes);
     } else {
-        for (NodeSlot &s : nodes_) {
-            std::vector<JobOutcome> got =
-                std::isfinite(limitH)
-                    ? s.node->runUntil(limitH, s.pool.get())
-                    : s.node->drain(s.pool.get());
-            all.insert(all.end(), got.begin(), got.end());
-        }
+        drainNodes(0, nodes_.size());
     }
+    std::vector<JobOutcome> all;
+    for (std::vector<JobOutcome> &g : got)
+        all.insert(all.end(), g.begin(), g.end());
     // Node id-spans make job ids globally unique, so job-id order is
     // a total order — the same merge whichever mode produced it.
     std::sort(all.begin(), all.end(),
@@ -386,14 +370,12 @@ Router::stop()
 void
 Router::stopServe()
 {
-    for (NodeSlot &s : nodes_)
-        s.node->stopServe();
+    drainPool_.reset();
 }
 
 void
 Router::setJournalSink(replay::JournalSink *sink)
 {
-    stopServe(); // journaled runs drive inline
     sink_ = sink;
     for (NodeSlot &s : nodes_) {
         s.stamp->inner = sink;

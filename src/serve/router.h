@@ -18,15 +18,15 @@
  * RouterOptions::forwardHops), journaling every hop. Bad-request and
  * deadline rejections are final — forwarding cannot fix those.
  *
- * Concurrency: with threadedDrain each node runs its own serve
- * thread, fed through a lock-free MPMC intake ring
- * (ServiceNode::postSubmit) and drained under a barrier
- * (requestDrain/awaitDrain on every node). Nodes are independent —
- * disjoint ensembles, disjoint job-id spans — so the barrier drain is
- * bit-identical to draining the nodes inline one after another, and
- * VirtualClock single-thread mode stays bit-deterministic for replay.
- * Journaled runs always drive inline (JournalSink::record is not
- * synchronized across nodes).
+ * Concurrency: the Router is the only owner of threads in the
+ * serving tier. submit() admits on the caller's thread, one request
+ * at a time. With threadedDrain, drain()/runUntil() run the node
+ * drains side by side on one Router-owned TaskPool with a participant
+ * per node. Nodes are independent — disjoint ensembles, job-id spans
+ * and shard pools — so that is bit-identical to draining them one
+ * after another, and VirtualClock runs stay bit-deterministic for
+ * replay. Journaled runs always drain inline (JournalSink::record is
+ * not synchronized across nodes).
  */
 
 #ifndef EQC_SERVE_ROUTER_H
@@ -59,9 +59,9 @@ struct RouterOptions
      */
     int forwardHops = 2;
     /**
-     * Drive every node on its own serve thread (MPMC intake + barrier
-     * drain). Ignored while a journal sink is attached — journaled
-     * runs drain inline, in node order.
+     * Drain the nodes concurrently, one TaskPool participant per node
+     * (submissions stay inline either way). Ignored while a journal
+     * sink is attached — journaled runs drain inline, in node order.
      */
     bool threadedDrain = false;
     /** Reservoir of the router-level latency percentile estimator. */
@@ -167,7 +167,10 @@ class Router
     /** Ask every node's running loop to return (thread-safe). */
     void stop();
 
-    /** Stop every serve thread (idempotent; threadedDrain mode). */
+    /**
+     * Release the threaded-drain pool's threads (idempotent). The
+     * next threaded drain creates the pool again.
+     */
     void stopServe();
 
     std::size_t numNodes() const { return nodes_.size(); }
@@ -240,13 +243,10 @@ class Router
     /** Journal wrapper stamping a node id onto every record. */
     class StampSink;
 
-    /** Serve threads are live (threadedDrain and no sink). */
+    /** Drains fan out over drainPool_ (threadedDrain and no sink). */
     bool threadedActive() const;
 
-    /** Start every node's serve thread if threaded mode wants them. */
-    void ensureServing();
-
-    /** Submit on node @p n via the thread-safe intake path. */
+    /** Submit on node @p n with @p ruid stamped on its verdict. */
     Ticket submitToNode(std::size_t n, const JobRequest &request,
                         uint64_t ruid);
 
@@ -285,6 +285,8 @@ class Router
     TierCounters counters_;
     /** Next routed-request uid (journal correlation; starts at 1). */
     uint64_t nextRuid_ = 1;
+    /** Node-drain fan-out, created by the first threaded drain. */
+    std::unique_ptr<TaskPool> drainPool_;
 };
 
 } // namespace serve

@@ -276,7 +276,7 @@ ServiceNode::counters() const
     return c;
 }
 
-ServiceNode::~ServiceNode() { stopServe(); }
+ServiceNode::~ServiceNode() = default;
 
 void
 ServiceNode::compileWorkloadForMember(Workload &w, std::size_t i)
@@ -1274,7 +1274,6 @@ ServiceNode::finalizeItem(WorkItem &item)
         o.shedShots = item.shedShots;
         o.shed = item.shed;
         latency_.add(o.latencyH);
-        latencyMoments_.add(o.latencyH);
         ins_.latencyH->observe(o.latencyH);
         // The rider's SLO resolves here, exactly once: met if the item
         // was not shed, shed otherwise. Cancel the pending deadline
@@ -1385,126 +1384,6 @@ void
 ServiceNode::stop()
 {
     loop_.requestStop();
-}
-
-// ---------------------------------------------------------------------------
-// Threaded serving: MPMC intake drained by the node's own loop thread
-// ---------------------------------------------------------------------------
-
-bool
-ServiceNode::pumpIntake()
-{
-    bool any = false;
-    SubmitSlot *slot = nullptr;
-    while (intake_.tryPop(slot)) {
-        slot->ticket = submit(*slot->request);
-        slot->done.store(true, std::memory_order_release);
-        any = true;
-    }
-    return any;
-}
-
-void
-ServiceNode::serveLoop()
-{
-    for (;;) {
-        pumpIntake();
-        const int cmd = serveCmd_.load(std::memory_order_acquire);
-        if (cmd == kServeStop) {
-            pumpIntake(); // nothing races: producers have quiesced
-            break;
-        }
-        if (cmd == kServeDrain) {
-            // Late slots pushed before the barrier still belong to
-            // this drain's stimulus.
-            pumpIntake();
-            const double limitH = serveLimitH_;
-            if (sink_) {
-                replay::EventRecord r;
-                r.kind = replay::EventKind::Drain;
-                r.tH = loop_.now();
-                r.atH = limitH;
-                sink_->record(r);
-            }
-            exec_ = servePool_ ? servePool_ : &TaskPool::shared();
-            if (std::isfinite(limitH))
-                loop_.runUntil(limitH);
-            else
-                loop_.run();
-            exec_ = nullptr;
-            serveCmd_.store(kServeIdle, std::memory_order_release);
-            continue;
-        }
-        std::this_thread::yield();
-    }
-}
-
-void
-ServiceNode::startServe(TaskPool *pool)
-{
-    if (serveActive_.load(std::memory_order_acquire))
-        return;
-    servePool_ = pool;
-    serveCmd_.store(kServeIdle, std::memory_order_relaxed);
-    serveActive_.store(true, std::memory_order_release);
-    serveThread_ = std::thread([this] { serveLoop(); });
-}
-
-Ticket
-ServiceNode::postSubmit(const JobRequest &request)
-{
-    if (!serving())
-        return submit(request);
-    SubmitSlot slot;
-    slot.request = &request;
-    while (!intake_.tryPush(&slot))
-        std::this_thread::yield(); // ring full: wait out the pump
-    while (!slot.done.load(std::memory_order_acquire))
-        std::this_thread::yield();
-    return slot.ticket;
-}
-
-void
-ServiceNode::requestDrain(double limitH)
-{
-    if (!serving()) {
-        // No serve thread: run the drain inline, leaving the outcomes
-        // pending for collectCompleted() like the threaded path does.
-        std::vector<JobOutcome> got = std::isfinite(limitH)
-                                          ? runUntil(limitH, servePool_)
-                                          : drain(servePool_);
-        completed_.insert(completed_.end(), got.begin(), got.end());
-        return;
-    }
-    serveLimitH_ = limitH;
-    serveCmd_.store(kServeDrain, std::memory_order_release);
-}
-
-void
-ServiceNode::awaitDrain()
-{
-    if (!serving())
-        return;
-    while (serveCmd_.load(std::memory_order_acquire) == kServeDrain)
-        std::this_thread::yield();
-}
-
-std::vector<JobOutcome>
-ServiceNode::collectCompleted()
-{
-    return collectOutcomes();
-}
-
-void
-ServiceNode::stopServe()
-{
-    if (!serveActive_.load(std::memory_order_acquire))
-        return;
-    serveCmd_.store(kServeStop, std::memory_order_release);
-    if (serveThread_.joinable())
-        serveThread_.join();
-    serveActive_.store(false, std::memory_order_release);
-    serveCmd_.store(kServeIdle, std::memory_order_relaxed);
 }
 
 NodeLoad

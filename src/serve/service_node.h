@@ -46,14 +46,11 @@
 #ifndef EQC_SERVE_SERVICE_NODE_H
 #define EQC_SERVE_SERVICE_NODE_H
 
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/event_loop.h"
-#include "common/mpmc_queue.h"
 #include "common/stats.h"
 #include "core/weighting.h"
 #include "device/backend.h"
@@ -226,73 +223,11 @@ class ServiceNode
      */
     void stop();
 
-    // -- Threaded serving (lock-free MPMC intake) -------------------
-    //
-    // A Router drives N nodes concurrently by giving each node its own
-    // serve thread: submissions from any thread land in a lock-free
-    // MPMC ring (postSubmit) and are drained into the normal submit()
-    // path *on the node's own thread* — admission, journaling and
-    // event scheduling never race. The serve thread idles in "parked"
-    // mode (admissions only; the event loop does not run), so a
-    // barrier drain — park, submit everything, then requestDrain/
-    // awaitDrain on every node — is bit-identical to the inline
-    // sequence of submit() calls plus drain(): the per-node stimulus
-    // order is the same, and nodes are independent. Journal sinks are
-    // for the inline/single-thread mode only (JournalSink::record is
-    // not synchronized across nodes).
-
-    /**
-     * Spawn the node's serve thread (parked: it drains the intake
-     * ring but does not run the event loop until requestDrain).
-     * @param pool shard fan-out pool the serve thread drains with;
-     *        nullptr means TaskPool::shared(). Note shared() inlines
-     *        concurrent parallel-for calls, so N nodes draining at
-     *        once each want their own TaskPool (a Router hands every
-     *        node a TaskPool(1): shards run inline on the serve
-     *        thread and scaling comes from node concurrency).
-     */
-    void startServe(TaskPool *pool = nullptr);
-
-    /** A serve thread is running (postSubmit will hand off to it). */
-    bool
-    serving() const
-    {
-        return serveActive_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Thread-safe submission: push the request through the MPMC
-     * intake ring and wait for the serve thread to admit/reject it.
-     * Falls back to a plain inline submit() when no serve thread is
-     * running. The returned Ticket is exactly what submit() would
-     * have produced at the same per-node submission order.
-     */
-    Ticket postSubmit(const JobRequest &request);
-
-    /**
-     * Ask the serve thread to run the loop: to idle when @p limitH is
-     * +infinity (drain), else until model time reaches @p limitH
-     * (runUntil). Returns immediately; pair with awaitDrain().
-     */
-    void requestDrain(double limitH);
-
-    /** Block until the requested drain finished (the barrier). */
-    void awaitDrain();
-
-    /**
-     * Outcomes completed since the last collection, ascending job id.
-     * Call after awaitDrain() (or while no serve thread runs).
-     */
-    std::vector<JobOutcome> collectCompleted();
-
-    /** Park permanently and join the serve thread (idempotent). */
-    void stopServe();
-
     /**
      * Placement-relevant load right now: queue depth, in-flight
      * shards, alive member count and warm plan-cache keys. See
      * NodeLoad. Not synchronized with a running drain — callers
-     * sample it between barriers.
+     * sample it between drains.
      */
     NodeLoad loadSnapshot() const;
 
@@ -356,12 +291,6 @@ class ServiceNode
 
     /** Per-job service latency percentiles (serving-clock hours). */
     const stats::Percentiles &latencyStats() const { return latency_; }
-
-    /** Running latency moments (mean/min/max, serving-clock hours). */
-    const RunningStats &latencyMoments() const
-    {
-        return latencyMoments_;
-    }
 
     /** Distribution of retry-after hints handed to rejected jobs. */
     const stats::Percentiles &retryAfterStats() const
@@ -494,12 +423,6 @@ class ServiceNode
     /** Erase finished items, move out and sort completed outcomes. */
     std::vector<JobOutcome> collectOutcomes();
 
-    /** Serve-thread body: pump intake, run drains on command. */
-    void serveLoop();
-
-    /** Drain the MPMC intake ring into submit() (serve thread only). */
-    bool pumpIntake();
-
     /**
      * Registry-backed lifecycle counters. The references alias
      * counters registered in metrics_, so `++counters_.x` increments
@@ -557,7 +480,6 @@ class ServiceNode
     uint64_t nextJobId_ = 1;
     uint64_t nextWorkId_ = 1;
     stats::Percentiles latency_;
-    RunningStats latencyMoments_;
     stats::Percentiles retryAfter_;
     std::vector<uint64_t> memberShots_;
     /** Declared before counters_/ins_: they hold handles into it. */
@@ -586,29 +508,6 @@ class ServiceNode
     TaskPool *exec_ = nullptr;
     /** Lifecycle observer (replay journal); nullptr = off. */
     replay::JournalSink *sink_ = nullptr;
-
-    // -- Threaded serving state -------------------------------------
-
-    /** One in-flight postSubmit handshake (lives on caller's stack). */
-    struct SubmitSlot
-    {
-        const JobRequest *request = nullptr;
-        Ticket ticket;
-        std::atomic<bool> done{false};
-    };
-
-    enum ServeCmd : int { kServeIdle = 0, kServeDrain = 1,
-                          kServeStop = 2 };
-
-    /** Lock-free intake ring the serve thread drains. */
-    MpmcQueue<SubmitSlot *> intake_{1024};
-    std::thread serveThread_;
-    std::atomic<bool> serveActive_{false};
-    std::atomic<int> serveCmd_{kServeIdle};
-    /** runUntil horizon of a requested drain (written pre-command). */
-    double serveLimitH_ = 0.0;
-    /** Fan-out pool of the serve thread (startServe argument). */
-    TaskPool *servePool_ = nullptr;
 };
 
 } // namespace serve

@@ -4,23 +4,20 @@
  * minimal remapping under membership change, key-affine routing with
  * disjoint per-node job-id spans, overflow forwarding on capacity
  * backpressure (least-loaded successor first, never on final
- * rejections), NodeLoad snapshots, the lock-free MPMC intake ring,
- * bit-determinism of the threaded barrier drain against the inline
- * node-order drain (and across shard-pool widths), and routed
- * journals that audit clean and replay bit-identically.
+ * rejections), NodeLoad snapshots, bit-determinism of the threaded
+ * node drain against the inline node-order drain (full drains and
+ * finite-horizon runUntil steps, and across shard-pool widths), and
+ * routed journals that audit clean and replay bit-identically.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <thread>
 #include <vector>
 
-#include "common/mpmc_queue.h"
 #include "common/rng.h"
 #include "common/task_pool.h"
 #include "device/catalog.h"
@@ -135,62 +132,6 @@ TEST(HashRing, SuccessorsAreDistinctAndExcludeOwner)
         ASSERT_EQ(std::unique(all.begin(), all.end()), all.end())
             << "successor list repeats a node (or the owner)";
     }
-}
-
-// ---------------------------------------------------------------------------
-// MPMC intake ring
-// ---------------------------------------------------------------------------
-
-TEST(MpmcQueue, FullRingRejectsPush)
-{
-    MpmcQueue<int> q(4);
-    EXPECT_EQ(q.capacity(), 4u);
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(q.tryPush(i));
-    EXPECT_FALSE(q.tryPush(99)); // backpressure, not blocking
-    int out = -1;
-    ASSERT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out, 0); // FIFO under single consumer
-    EXPECT_TRUE(q.tryPush(99));
-}
-
-TEST(MpmcQueue, ConcurrentProducersConsumersLoseNothing)
-{
-    constexpr int kProducers = 4;
-    constexpr int kConsumers = 4;
-    constexpr int kPerProducer = 20000;
-    MpmcQueue<int> q(1024);
-    std::atomic<long long> sum{0};
-    std::atomic<int> popped{0};
-
-    std::vector<std::thread> threads;
-    for (int p = 0; p < kProducers; ++p)
-        threads.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i) {
-                const int v = p * kPerProducer + i;
-                while (!q.tryPush(v))
-                    std::this_thread::yield();
-            }
-        });
-    for (int c = 0; c < kConsumers; ++c)
-        threads.emplace_back([&] {
-            int v;
-            while (popped.load() < kProducers * kPerProducer) {
-                if (q.tryPop(v)) {
-                    sum += v;
-                    ++popped;
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    for (std::thread &t : threads)
-        t.join();
-
-    const long long n = kProducers * kPerProducer;
-    EXPECT_EQ(popped.load(), n);
-    EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-    EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +339,7 @@ TEST(ServiceNodeLoad, SnapshotTracksQueueAndMembership)
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: threaded barrier drain == inline node-order drain
+// Determinism: threaded node drain == inline node-order drain
 // ---------------------------------------------------------------------------
 
 /** One mixed schedule: two drains with submissions between them. */
@@ -467,29 +408,81 @@ TEST(RouterDeterminism, ThreadedBarrierDrainMatchesInline)
     expectBitIdentical(inlineOut, threadedOut);
 }
 
+/**
+ * Streaming schedule: finite-horizon runUntil steps with submissions
+ * between them, so work items stay open across steps (late jobs join
+ * as riders) before a final drain collects the rest.
+ */
+std::vector<std::vector<JobOutcome>>
+runStreaming(Router &router, WorkloadId wl, const VqaProblem &prob)
+{
+    std::vector<std::vector<JobOutcome>> steps;
+    Rng rng = Rng(505).fork("streaming");
+    double horizonH = 0.0;
+    for (int step = 0; step < 5; ++step) {
+        for (int i = 0; i < 8; ++i) {
+            JobRequest req = requestFor(wl, prob, i % 4, 0.05 * (i % 6),
+                                        64 * rng.uniformInt(1, 3));
+            req.submitH = horizonH + rng.uniform(0.0, 0.01);
+            router.submit(req);
+        }
+        horizonH += 0.02;
+        steps.push_back(router.runUntil(horizonH));
+    }
+    steps.push_back(router.drain());
+    return steps;
+}
+
+TEST(RouterDeterminism, ThreadedRunUntilMatchesInline)
+{
+    VqaProblem prob = makeHeisenbergVqe(7);
+
+    Router inlineRouter;
+    const WorkloadId wlA = buildFleet(inlineRouter, 3, prob);
+    const std::vector<std::vector<JobOutcome>> inlineSteps =
+        runStreaming(inlineRouter, wlA, prob);
+
+    RouterOptions threadedOpts;
+    threadedOpts.threadedDrain = true;
+    Router threadedRouter(threadedOpts);
+    const WorkloadId wlB = buildFleet(threadedRouter, 3, prob);
+    ASSERT_EQ(wlA, wlB);
+    const std::vector<std::vector<JobOutcome>> threadedSteps =
+        runStreaming(threadedRouter, wlB, prob);
+    threadedRouter.stopServe();
+
+    // The schedule must exercise both halves of streaming: some jobs
+    // finish inside a horizon, some are still in flight at one.
+    std::size_t early = 0;
+    for (std::size_t i = 0; i + 1 < inlineSteps.size(); ++i)
+        early += inlineSteps[i].size();
+    EXPECT_GT(early, 0u);
+    EXPECT_GT(inlineSteps.back().size(), 0u);
+
+    ASSERT_EQ(inlineSteps.size(), threadedSteps.size());
+    for (std::size_t i = 0; i < inlineSteps.size(); ++i) {
+        ASSERT_EQ(inlineSteps[i].size(), threadedSteps[i].size())
+            << "step " << i;
+        expectBitIdentical(inlineSteps[i], threadedSteps[i]);
+    }
+}
+
 TEST(RouterDeterminism, ShardPoolWidthDoesNotChangeBits)
 {
-    // The serve thread drains with whatever pool it was started
-    // with; 1-, 2- and 4-wide shard fan-out must agree bit for bit
-    // (shard RNG forks from pure ids, aggregation is seq-ordered).
+    // 1-, 2- and 4-wide shard fan-out must agree bit for bit (shard
+    // RNG forks from pure ids, aggregation is seq-ordered).
     VqaProblem prob = makeHeisenbergVqe(7);
     auto runWith = [&prob](int width) {
         ServiceNode node(smallEnsemble(0), nodeOptions());
         const WorkloadId wl =
             node.registerWorkload(prob.ansatz, prob.hamiltonian);
-        TaskPool pool(width);
-        node.startServe(&pool);
         for (int i = 0; i < 8; ++i) {
             JobRequest req = requestFor(wl, prob, i % 3, 0.04 * i,
                                         128 + 64 * (i % 2));
-            node.postSubmit(req);
+            node.submit(req);
         }
-        node.requestDrain(
-            std::numeric_limits<double>::infinity());
-        node.awaitDrain();
-        std::vector<JobOutcome> out = node.collectCompleted();
-        node.stopServe();
-        return out;
+        TaskPool pool(width);
+        return node.drain(&pool);
     };
     std::vector<JobOutcome> w1 = runWith(1);
     std::vector<JobOutcome> w2 = runWith(2);
@@ -497,20 +490,6 @@ TEST(RouterDeterminism, ShardPoolWidthDoesNotChangeBits)
     ASSERT_EQ(w1.size(), 8u);
     expectBitIdentical(w1, w2);
     expectBitIdentical(w1, w4);
-
-    // And the threaded intake path itself changes nothing vs the
-    // classic inline submit()+drain().
-    ServiceNode inlineNode(smallEnsemble(0), nodeOptions());
-    const WorkloadId wl = inlineNode.registerWorkload(
-        prob.ansatz, prob.hamiltonian);
-    for (int i = 0; i < 8; ++i) {
-        JobRequest req = requestFor(wl, prob, i % 3, 0.04 * i,
-                                    128 + 64 * (i % 2));
-        inlineNode.submit(req);
-    }
-    TaskPool pool(2);
-    std::vector<JobOutcome> inlineOut = inlineNode.drain(&pool);
-    expectBitIdentical(w1, inlineOut);
 }
 
 // ---------------------------------------------------------------------------
