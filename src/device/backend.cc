@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "quantum/density_matrix.h"
+#include "quantum/kraus.h"
 #include "quantum/statevector.h"
 #include "sim/fusion.h"
 
@@ -273,14 +274,11 @@ SimulatedQpu::noiseContextFor(double tH)
             const double angle[1] = {qc.coherentRxRad};
             gateEntries(GateType::RX, angle, ctx->rx[q].data());
         }
-        // One source of truth for the channel physics: thermal
-        // relaxation then depolarizing, composed in Kraus form
-        // (quantum/kraus.h) and flattened to the 4x4 superoperator.
-        const KrausChannel seq =
-            thermalRelaxation(qc.t1Us, qc.t2Us, t1qUs)
-                .composeWith(depolarizing1q(qc.gate1qError));
-        const CVector &s = seq.superopMatrix();
-        std::copy(s.begin(), s.end(), ctx->n1[q].begin());
+        // Thermal relaxation then depolarizing as one 4x4
+        // superoperator, composed heap-free and bitwise equal to the
+        // Kraus chain (quantum/kraus.h).
+        thermalDepolarizingSuperop1q(qc.t1Us, qc.t2Us, t1qUs,
+                                     qc.gate1qError, ctx->n1[q].data());
         ctx->n1Trivial[q] = !ctx->hasRx[q] && qc.gate1qError <= 0.0 &&
                             ctx->g1Gamma[q] == 0.0 &&
                             ctx->g1Coherence[q] == 1.0;

@@ -146,7 +146,10 @@ class SimulatedQpu : public QuantumBackend
      * thermal-relaxation factors for the 1q gate time, precompiled
      * coherent-miscalibration and ZZ-phase entries, and per-pair CX
      * noise. (Circuit durations live on the ExecPlan — gate times
-     * never drift.) Safe to share across concurrently executing jobs.
+     * never drift.) Each qubit's 1q noise superoperator is composed
+     * heap-free by thermalDepolarizingSuperop1q (quantum/kraus.h),
+     * bitwise equal to the Kraus-chain reference. Safe to share across
+     * concurrently executing jobs.
      */
     struct NoiseContext;
 

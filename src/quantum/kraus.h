@@ -74,6 +74,21 @@ KrausChannel phaseDamping(double lambda);
 KrausChannel thermalRelaxation(double t1Us, double t2Us, double timeUs);
 
 /**
+ * The 4x4 superoperator of thermal relaxation followed by 1q
+ * depolarizing, written to @p out in superopMatrix()'s layout:
+ * bitwise equal to
+ * thermalRelaxation(t1Us, t2Us, timeUs)
+ *     .composeWith(depolarizing1q(gate1qError)).superopMatrix(),
+ * but composed on fixed-size stack arrays with no heap allocation.
+ * It repeats that chain's arithmetic operation for operation (clamps,
+ * conditional operator counts, CMatrix products and the superoperator
+ * accumulation order), so exactness does not rest on tolerances; the
+ * Kraus chain stays the reference it is tested against.
+ */
+void thermalDepolarizingSuperop1q(double t1Us, double t2Us, double timeUs,
+                                  double gate1qError, Complex out[16]);
+
+/**
  * Per-qubit readout confusion.
  *
  * p01 = P(measured 1 | true 0), p10 = P(measured 0 | true 1).

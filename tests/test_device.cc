@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "device/backend.h"
 #include "device/catalog.h"
@@ -304,6 +307,79 @@ TEST(Backend, NoiseWorsensWithStaleness)
     double pFresh = fresh.probabilities[0] + fresh.probabilities[all1];
     double pStale = stale.probabilities[0] + stale.probabilities[all1];
     EXPECT_GT(pFresh, pStale);
+}
+
+
+/** FNV-1a 64 over the exact bytes of a probability vector. */
+uint64_t
+probabilityDigest(const std::vector<double> &probs)
+{
+    uint64_t h = 0xCBF29CE484222325ULL;
+    for (double p : probs) {
+        unsigned char bytes[sizeof(double)];
+        std::memcpy(bytes, &p, sizeof(double));
+        for (unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001B3ULL;
+        }
+    }
+    return h;
+}
+
+/**
+ * Digests of the exact (unsampled) probabilities of one parameterised
+ * 4-qubit circuit at @p hours, then at hours[0] again after 20 newer
+ * hours have evicted its noise context from the cache.
+ */
+std::vector<uint64_t>
+executeDigests(const std::string &device, const double (&hours)[3])
+{
+    Device dev = deviceByName(device);
+    SimulatedQpu qpu(dev, 7);
+    QuantumCircuit c(4, 4);
+    for (int q = 0; q < 4; ++q)
+        c.ry(q, ParamExpr::symbol(q));
+    for (int q = 0; q + 1 < 4; ++q)
+        c.cx(q, q + 1);
+    for (int q = 0; q < 4; ++q)
+        c.rx(q, ParamExpr::constant(0.3 + 0.2 * q));
+    c.cx(3, 0);
+    c.measureAll();
+    TranspiledCircuit tc = transpile(c, dev.coupling);
+    const std::vector<double> params = {0.4, -1.1, 2.3, 0.7};
+    Rng rng(5);
+    std::vector<uint64_t> out;
+    for (double h : hours)
+        out.push_back(probabilityDigest(
+            qpu.execute(tc, params, 1024, h, rng, false).probabilities));
+    for (int i = 1; i <= 20; ++i)
+        qpu.execute(tc, params, 1024, hours[2] + 0.25 * i, rng, false);
+    out.push_back(probabilityDigest(
+        qpu.execute(tc, params, 1024, hours[0], rng, false).probabilities));
+    return out;
+}
+
+// Pins SimulatedQpu::execute to the bit: any rewrite of the noise
+// context build, the plan or the kernels that moves one bit of the
+// exact probabilities fails here. Casablanca carries coherent RX and
+// ZZ errors; Toronto has 27 qubits, so its noise context covers far
+// more than the circuit's 4. The last entry of each revisits the first
+// hour after its noise context was evicted and rebuilt.
+TEST(Backend, ExecuteProbabilitiesArePinnedBitwise)
+{
+    const double hours[3] = {0.5, 13.25, 41.0};
+    const std::vector<uint64_t> casablanca =
+        executeDigests("ibmq_casablanca", hours);
+    const std::vector<uint64_t> toronto =
+        executeDigests("ibmq_toronto", hours);
+    const std::vector<uint64_t> wantCasablanca = {
+        0x8957FA511CBD1B1AULL, 0x3382A978A01461FFULL,
+        0x11623A7EBE0384D9ULL, 0x8957FA511CBD1B1AULL};
+    const std::vector<uint64_t> wantToronto = {
+        0x76179577DA930BB2ULL, 0x16C526DE52A4BFB6ULL,
+        0xF9A5BA8638040BEEULL, 0x76179577DA930BB2ULL};
+    EXPECT_EQ(casablanca, wantCasablanca);
+    EXPECT_EQ(toronto, wantToronto);
 }
 
 } // namespace
