@@ -35,10 +35,16 @@ Rng::fork(const std::string &label) const
     return fork(hashLabel(label));
 }
 
+uint64_t
+Rng::forkSeed(uint64_t seed, uint64_t label)
+{
+    return splitmix64(seed ^ splitmix64(label));
+}
+
 Rng
 Rng::fork(uint64_t label) const
 {
-    return Rng(splitmix64(seed_ ^ splitmix64(label)));
+    return Rng(forkSeed(seed_, label));
 }
 
 double

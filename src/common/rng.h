@@ -37,6 +37,13 @@ class Rng
     /** Fork a child generator from an integer label. */
     Rng fork(uint64_t label) const;
 
+    /**
+     * The seed of Rng(@p seed).fork(@p label): Rng(forkSeed(a, b))
+     * replays Rng(a).fork(b) without seeding the parent's engine, and
+     * chained forks nest as forkSeed(forkSeed(a, b), c).
+     */
+    static uint64_t forkSeed(uint64_t seed, uint64_t label);
+
     /** Uniform double in [0, 1). */
     double uniform();
 

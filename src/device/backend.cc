@@ -424,28 +424,29 @@ SimulatedQpu::execute(const TranspiledCircuit &tc,
                 if (it == nc.cx.end())
                     panic("SimulatedQpu: CX on uncoupled qubits");
                 const NoiseContext::CxNoise &cn = it->second;
+                const Complex *w = u;
+                Complex w2[16];
                 if (cn.hasZz) {
                     // Residual ZZ phase accompanying the CX pulse
                     // (swap-symmetric diagonal, orientation-free):
                     // fold it into the fused unitary's entries.
-                    Complex w2[16];
                     for (int r = 0; r < 4; ++r)
                         for (int c = 0; c < 4; ++c)
                             w2[r * 4 + c] = cn.zz[r] * u[r * 4 + c];
-                    dm.applyGate2(w2, op.q0, op.q1);
-                } else {
-                    dm.applyGate2(u, op.q0, op.q1);
+                    w = w2;
                 }
-                if (!cn.trivial) {
-                    // One block-local pass for depolarizing + both
-                    // endpoints' thermal relaxation.
-                    const bool lo0 = p0 == key.first;
-                    dm.applyDepolThermal2q(
-                        cn.err, op.q0, lo0 ? cn.gammaLo : cn.gammaHi,
-                        lo0 ? cn.cohLo : cn.cohHi, op.q1,
-                        lo0 ? cn.gammaHi : cn.gammaLo,
-                        lo0 ? cn.cohHi : cn.cohLo);
+                if (cn.trivial) {
+                    dm.applyGate2(w, op.q0, op.q1);
+                    break;
                 }
+                // One block-local pass for the unitary, depolarizing
+                // and both endpoints' thermal relaxation.
+                const bool lo0 = p0 == key.first;
+                dm.applyGate2DepolThermal2q(
+                    w, cn.err, op.q0, lo0 ? cn.gammaLo : cn.gammaHi,
+                    lo0 ? cn.cohLo : cn.cohHi, op.q1,
+                    lo0 ? cn.gammaHi : cn.gammaLo,
+                    lo0 ? cn.cohHi : cn.cohLo);
                 break;
               }
               default:

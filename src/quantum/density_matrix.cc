@@ -263,22 +263,61 @@ depolarizing2qRange(Complex *rho, uint64_t b, uint64_t e, double lambda,
     });
 }
 
+/**
+ * Where each slot of a 16-element (ket, bra) block is gathered from
+ * when a 2q permutation-phase unitary runs ahead of the noise: slot
+ * j = r * 4 + s is stored back at dst[j] = ketOff[r] + braOff[s] and
+ * loads f[j] * rho[anchor + src[j]], with src[j] = ketOff[perm[r]] +
+ * braOff[perm[s]] and f[j] = phase[r] * conj(phase[s]) — the
+ * superopPerm2Range arithmetic, so the folded pass is bitwise equal to
+ * the unitary pass followed by the noise pass. The identity PermPhase
+ * makes src == dst and skips the multiply (plain noise pass).
+ */
+struct BlockGather
+{
+    uint64_t dst[16];
+    uint64_t src[16];
+    Complex f[16];
+    bool phased;
+    uint64_t lows[4];
+
+    BlockGather(const detail::PermPhase &pp, uint64_t kA, uint64_t kB,
+                uint64_t bA, uint64_t bB)
+        : phased(!pp.unitPhases),
+          lows{std::min(kA, kB) - 1, std::max(kA, kB) - 1,
+               std::min(bA, bB) - 1, std::max(bA, bB) - 1}
+    {
+        uint64_t ketOff[4], braOff[4];
+        for (int j = 0; j < 4; ++j) {
+            ketOff[j] = (j & 1 ? kA : 0) | (j & 2 ? kB : 0);
+            braOff[j] = (j & 1 ? bA : 0) | (j & 2 ? bB : 0);
+        }
+        for (int r = 0; r < 4; ++r) {
+            for (int s = 0; s < 4; ++s) {
+                dst[r * 4 + s] = ketOff[r] + braOff[s];
+                src[r * 4 + s] = ketOff[pp.perm[r]] + braOff[pp.perm[s]];
+                f[r * 4 + s] = pp.phase[r] * std::conj(pp.phase[s]);
+            }
+        }
+    }
+};
+
 #ifdef EQC_KERNEL_X86_DISPATCH
 
 /**
- * AVX2 widening of the composed depolarizing + per-qubit thermal pass:
- * two anchors per iteration, sixteen 2-complex block vectors in flight.
- * Every operation is a real scalar times a complex value (componentwise
- * multiply/add, no complex products), applied in the exact scalar
- * sequence — plain mul/add intrinsics, no FMA — so the result is
+ * AVX2 widening of the composed (permutation-phase unitary +)
+ * depolarizing + per-qubit thermal pass: two anchors per iteration,
+ * sixteen 2-complex block vectors in flight. The gather's phase factor
+ * is detail::cxMul (the scalar complex product, no FMA); every later
+ * operation is a real scalar times a complex value, applied in the
+ * exact scalar sequence with plain mul/add intrinsics, so the result is
  * bit-identical to depolThermal2qRange. Requires min(kA, kB) >= 2 (the
  * qubit pair (0, 1) degenerates to length-1 runs and stays scalar).
  */
 __attribute__((target("avx2"))) void
 depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
-                        double lambda, double gA, double cA, double gB,
-                        double cB, uint64_t kA, uint64_t kB, uint64_t bA,
-                        uint64_t bB)
+                        const BlockGather &gather, double lambda,
+                        double gA, double cA, double gB, double cB)
 {
     double *d = reinterpret_cast<double *>(rho);
     const __m256d keep = _mm256_set1_pd(1.0 - lambda);
@@ -289,31 +328,27 @@ depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
     const __m256d vcA = _mm256_set1_pd(cA);
     const __m256d vgB = _mm256_set1_pd(gB);
     const __m256d vcB = _mm256_set1_pd(cB);
-    uint64_t ketOff[4], braOff[4];
-    for (int j = 0; j < 4; ++j) {
-        ketOff[j] = (j & 1 ? kA : 0) | (j & 2 ? kB : 0);
-        braOff[j] = (j & 1 ? bA : 0) | (j & 2 ? bB : 0);
-    }
-    const uint64_t lows[4] = {
-        std::min(kA, kB) - 1, std::max(kA, kB) - 1,
-        std::min(bA, bB) - 1, std::max(bA, bB) - 1};
-    const uint64_t runCap = lows[0] + 1;
+    const BlockGather g = gather;
+    const uint64_t runCap = g.lows[0] + 1;
     uint64_t t = b;
     while (t < e) {
         const uint64_t lo = t & (runCap - 1);
         uint64_t anchor = t - lo;
         for (int m = 0; m < 4; ++m)
-            anchor = detail::depositZeroBit(anchor, lows[m]);
+            anchor = detail::depositZeroBit(anchor, g.lows[m]);
         const uint64_t run = std::min(runCap - lo, e - t);
         const uint64_t start = anchor + lo;
         uint64_t r = 0;
         for (; r + 2 <= run; r += 2) {
             const uint64_t i = start + r;
             __m256d v[16];
-            for (int ks = 0; ks < 4; ++ks)
-                for (int bs = 0; bs < 4; ++bs)
-                    v[ks * 4 + bs] = _mm256_loadu_pd(
-                        d + 2 * (i + ketOff[ks] + braOff[bs]));
+            for (int j = 0; j < 16; ++j)
+                v[j] = _mm256_loadu_pd(d + 2 * (i + g.src[j]));
+            if (g.phased)
+                for (int j = 0; j < 16; ++j)
+                    v[j] = detail::cxMul(v[j],
+                                         _mm256_set1_pd(g.f[j].real()),
+                                         _mm256_set1_pd(g.f[j].imag()));
             // Depolarizing: same add order as the scalar trace sum.
             const __m256d mix = _mm256_mul_pd(
                 mixF, _mm256_add_pd(
@@ -346,20 +381,20 @@ depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
                     v[base + 8] = _mm256_mul_pd(v[base + 8], vcB);
                     v[base + 2] = _mm256_mul_pd(v[base + 2], vcB);
                 }
-            for (int ks = 0; ks < 4; ++ks)
-                for (int bs = 0; bs < 4; ++bs)
-                    _mm256_storeu_pd(
-                        d + 2 * (i + ketOff[ks] + braOff[bs]),
-                        v[ks * 4 + bs]);
+            for (int j = 0; j < 16; ++j)
+                _mm256_storeu_pd(d + 2 * (i + g.dst[j]), v[j]);
         }
         for (; r < run; ++r) {
             const uint64_t i = start + r;
             const double keepS = 1.0 - lambda;
             const double keepAS = 1.0 - gA, keepBS = 1.0 - gB;
             Complex v[16];
-            for (int ks = 0; ks < 4; ++ks)
-                for (int bs = 0; bs < 4; ++bs)
-                    v[ks * 4 + bs] = rho[i + ketOff[ks] + braOff[bs]];
+            if (g.phased)
+                for (int j = 0; j < 16; ++j)
+                    v[j] = g.f[j] * rho[i + g.src[j]];
+            else
+                for (int j = 0; j < 16; ++j)
+                    v[j] = rho[i + g.src[j]];
             Complex mix = 0.25 * lambda * (v[0] + v[5] + v[10] + v[15]);
             for (int s = 0; s < 16; ++s)
                 v[s] *= keepS;
@@ -383,9 +418,8 @@ depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
                     v[base + 8] *= cB;
                     v[base + 2] *= cB;
                 }
-            for (int ks = 0; ks < 4; ++ks)
-                for (int bs = 0; bs < 4; ++bs)
-                    rho[i + ketOff[ks] + braOff[bs]] = v[ks * 4 + bs];
+            for (int j = 0; j < 16; ++j)
+                rho[i + g.dst[j]] = v[j];
         }
         t += run;
     }
@@ -394,36 +428,32 @@ depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
 #endif // EQC_KERNEL_X86_DISPATCH
 
 void
-depolThermal2qRange(Complex *rho, uint64_t b, uint64_t e, double lambda,
-                    double gA, double cA, double gB, double cB,
-                    uint64_t kA, uint64_t kB, uint64_t bA, uint64_t bB)
+depolThermal2qRange(Complex *rho, uint64_t b, uint64_t e,
+                    const BlockGather &gather, double lambda, double gA,
+                    double cA, double gB, double cB)
 {
 #ifdef EQC_KERNEL_X86_DISPATCH
-    if (std::min(kA, kB) > 1 && detail::cpuHasAvx2()) {
-        depolThermal2qRangeAvx2(rho, b, e, lambda, gA, cA, gB, cB, kA,
-                                kB, bA, bB);
+    // lows[0] == 0: a pair including qubit 0 has length-1 runs.
+    if (gather.lows[0] > 0 && detail::cpuHasAvx2()) {
+        depolThermal2qRangeAvx2(rho, b, e, gather, lambda, gA, cA, gB,
+                                cB);
         return;
     }
 #endif
     const double keep = 1.0 - lambda;
     const double keepA = 1.0 - gA, keepB = 1.0 - gB;
-    uint64_t ketOff[4], braOff[4];
-    for (int j = 0; j < 4; ++j) {
-        ketOff[j] = (j & 1 ? kA : 0) | (j & 2 ? kB : 0);
-        braOff[j] = (j & 1 ? bA : 0) | (j & 2 ? bB : 0);
-    }
-    const uint64_t lows[4] = {
-        std::min(kA, kB) - 1, std::max(kA, kB) - 1,
-        std::min(bA, bB) - 1, std::max(bA, bB) - 1};
-    detail::forAnchorRuns<4>(b, e, lows,
+    const BlockGather g = gather;
+    detail::forAnchorRuns<4>(b, e, g.lows,
                              [&](uint64_t start, uint64_t run) {
         Complex v[16];
         for (uint64_t r = 0; r < run; ++r) {
             const uint64_t i = start + r;
-            for (int ks = 0; ks < 4; ++ks)
-                for (int bs = 0; bs < 4; ++bs)
-                    v[ks * 4 + bs] =
-                        rho[i + ketOff[ks] + braOff[bs]];
+            if (g.phased)
+                for (int j = 0; j < 16; ++j)
+                    v[j] = g.f[j] * rho[i + g.src[j]];
+            else
+                for (int j = 0; j < 16; ++j)
+                    v[j] = rho[i + g.src[j]];
             // Depolarizing.
             Complex mix =
                 0.25 * lambda * (v[0] + v[5] + v[10] + v[15]);
@@ -459,11 +489,27 @@ depolThermal2qRange(Complex *rho, uint64_t b, uint64_t e, double lambda,
                     v10 *= cB;
                     v01 *= cB;
                 }
-            for (int ks = 0; ks < 4; ++ks)
-                for (int bs = 0; bs < 4; ++bs)
-                    rho[i + ketOff[ks] + braOff[bs]] =
-                        v[ks * 4 + bs];
+            for (int j = 0; j < 16; ++j)
+                rho[i + g.dst[j]] = v[j];
         }
+    });
+}
+
+/** The noise pass behind applyDepolThermal2q and its gate fold. */
+void
+depolThermal2qPass(Complex *rho, int numQubits, TaskPool *pool,
+                   const detail::PermPhase &pp, double lambda, int qubitA,
+                   double gammaA, double coherenceA, int qubitB,
+                   double gammaB, double coherenceB)
+{
+    const BlockGather gather(
+        pp, uint64_t{1} << qubitA, uint64_t{1} << qubitB,
+        uint64_t{1} << (qubitA + numQubits),
+        uint64_t{1} << (qubitB + numQubits));
+    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 4;
+    detail::shardBlocks(pool, nBlocks, [=](uint64_t b, uint64_t e) {
+        depolThermal2qRange(rho, b, e, gather, lambda, gammaA, coherenceA,
+                            gammaB, coherenceB);
     });
 }
 
@@ -536,16 +582,36 @@ DensityMatrix::applyDepolThermal2q(double lambda, int qubitA,
         qubitB >= numQubits_ || qubitA == qubitB) {
         panic("applyDepolThermal2q: invalid qubits");
     }
-    const uint64_t kA = uint64_t{1} << qubitA;
-    const uint64_t kB = uint64_t{1} << qubitB;
-    const uint64_t bA = uint64_t{1} << (qubitA + numQubits_);
-    const uint64_t bB = uint64_t{1} << (qubitB + numQubits_);
-    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits_)) >> 4;
-    Complex *rho = rho_.data();
-    detail::shardBlocks(pool(), nBlocks, [=](uint64_t b, uint64_t e) {
-        depolThermal2qRange(rho, b, e, lambda, gammaA, coherenceA,
-                            gammaB, coherenceB, kA, kB, bA, bB);
-    });
+    const detail::PermPhase identity{{0, 1, 2, 3}, {1, 1, 1, 1}, true};
+    depolThermal2qPass(rho_.data(), numQubits_, pool(), identity, lambda,
+                       qubitA, gammaA, coherenceA, qubitB, gammaB,
+                       coherenceB);
+}
+
+void
+DensityMatrix::applyGate2DepolThermal2q(const Complex *u, double lambda,
+                                        int qubitA, double gammaA,
+                                        double coherenceA, int qubitB,
+                                        double gammaB, double coherenceB)
+{
+    if (qubitA < 0 || qubitB < 0 || qubitA >= numQubits_ ||
+        qubitB >= numQubits_ || qubitA == qubitB) {
+        panic("applyGate2DepolThermal2q: invalid qubits");
+    }
+    // classifyGate rather than isPermPhase alone: a diagonal unitary
+    // takes applyGate2's diagonal kernel, whose unit-phase multiply the
+    // fold would skip, so only a true permutation-phase gate is folded.
+    Complex diag[4];
+    detail::PermPhase pp;
+    if (detail::classifyGate(u, 4, diag, pp) !=
+        detail::GateKind::PermPhase) {
+        applyGate2(u, qubitA, qubitB);
+        applyDepolThermal2q(lambda, qubitA, gammaA, coherenceA, qubitB,
+                            gammaB, coherenceB);
+        return;
+    }
+    depolThermal2qPass(rho_.data(), numQubits_, pool(), pp, lambda, qubitA,
+                       gammaA, coherenceA, qubitB, gammaB, coherenceB);
 }
 
 void

@@ -104,11 +104,25 @@ class DensityMatrix
      * 2q depolarizing by @p lambda, then thermal relaxation on
      * @p qubitA and on @p qubitB (same semantics as applying
      * applyDepolarizing2q and applyThermalRelaxation twice, at a third
-     * of the memory traffic and per-call overhead).
+     * of the memory traffic and per-call overhead). Shares its kernel
+     * with applyGate2DepolThermal2q (identity gather, no phases).
      */
     void applyDepolThermal2q(double lambda, int qubitA, double gammaA,
                              double coherenceA, int qubitB,
                              double gammaB, double coherenceB);
+
+    /**
+     * A noisy CX in one block-local pass: the 2q unitary @p u
+     * (row-major 4x4, bit 0 -> @p qubitA), then
+     * applyDepolThermal2q's noise. A permutation-phase @p u (every
+     * fused CX) is folded into the noise pass's gather, bitwise equal
+     * to applyGate2 followed by applyDepolThermal2q; any other @p u
+     * runs as exactly those two passes.
+     */
+    void applyGate2DepolThermal2q(const Complex *u, double lambda,
+                                  int qubitA, double gammaA,
+                                  double coherenceA, int qubitB,
+                                  double gammaB, double coherenceB);
 
     /** Element <row| rho |col>. */
     Complex element(uint64_t row, uint64_t col) const;

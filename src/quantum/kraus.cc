@@ -35,7 +35,7 @@ KrausChannel::composeWith(const KrausChannel &after) const
 }
 
 const CVector &
-KrausChannel::superopMatrix() const
+KrausChannel::superopMatrix() const &
 {
     if (superop_.empty() && !ops.empty()) {
         const std::size_t sub = ops.front().rows();

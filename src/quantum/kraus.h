@@ -44,7 +44,13 @@ struct KrausChannel
      * first apply. Not safe to race the first call from multiple
      * threads on a *shared* channel instance.
      */
-    const CVector &superopMatrix() const;
+    const CVector &superopMatrix() const &;
+
+    /**
+     * Deleted on a temporary channel: the reference would point into
+     * the temporary's cache and dangle at the end of the expression.
+     */
+    const CVector &superopMatrix() const && = delete;
 
   private:
     mutable CVector superop_;

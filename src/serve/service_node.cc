@@ -854,8 +854,9 @@ ServiceNode::executeShards(const std::vector<ShardRef> &batch)
             Shard &s = item.shards[batch[bi].shard];
             const Workload &w = *workloads_[item.key.workload];
             Member &m = members_[static_cast<std::size_t>(s.member)];
-            Rng rng = rootRng_.fork(item.workUid)
-                          .fork(static_cast<uint64_t>(s.seq));
+            Rng rng(Rng::forkSeed(
+                Rng::forkSeed(rootRng_.seed(), item.workUid),
+                static_cast<uint64_t>(s.seq)));
             const int groups =
                 static_cast<int>(w.compiled[s.member].size());
             double latS = m.backend->queue().jobLatencyS(

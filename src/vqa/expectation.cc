@@ -203,7 +203,7 @@ ExpectationEstimator::estimateBatch(QuantumBackend &backend,
         for (uint64_t f = b; f < e; ++f) {
             const std::size_t ji = f / numGroups;
             const std::size_t gi = f % numGroups;
-            Rng jobRng = Rng(forkBase).fork(f);
+            Rng jobRng(Rng::forkSeed(forkBase, f));
             parts[f] = estimateGroup(
                 backend, groups_[gi], (*jobs[ji].compiled)[gi],
                 *jobs[ji].params, shots, atTimeH, jobRng, mode, rep);

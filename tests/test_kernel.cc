@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <thread>
 
 #include "common/rng.h"
@@ -471,6 +473,132 @@ TEST(Kernel, SimdDepolThermal2qBitIdenticalToScalar)
             for (uint64_t c = 0; identical && c < fast.dim(); ++c)
                 identical = fast.element(r, c) == scalar.element(r, c);
         EXPECT_TRUE(identical);
+    }
+}
+
+/** Every element of @p dm, column-major (rho's storage order). */
+CVector
+elementsOf(const DensityMatrix &dm)
+{
+    CVector out;
+    for (uint64_t c = 0; c < dm.dim(); ++c)
+        for (uint64_t r = 0; r < dm.dim(); ++r)
+            out.push_back(dm.element(r, c));
+    return out;
+}
+
+/**
+ * A dense, non-Hermitian 4^n vector: random 1q and 2q matrices spread
+ * it over every element, random 1q superoperators break Hermiticity,
+ * so no block slot is zero and no slot mirrors another.
+ */
+DensityMatrix
+randomDensity(int n, uint64_t seed)
+{
+    DensityMatrix dm(n);
+    for (int q = 0; q < n; ++q)
+        dm.applyGate1(flat(randomMatrix(2, seed + q)).data(), q);
+    for (int q = 0; q + 1 < n; q += 2)
+        dm.applyGate2(flat(randomMatrix(4, seed + 17 + q)).data(), q,
+                      (q + 3) % n);
+    for (int q = 0; q < n; ++q)
+        dm.applyChannelSuperop1(
+            flat(randomMatrix(4, seed + 31 + q)).data(), q);
+    return dm;
+}
+
+/** The 4x4 permutation-phase matrix whose row r is phase[r] at perm[r]. */
+std::vector<Complex>
+permPhaseMatrix(const int *perm, const Complex *phase)
+{
+    std::vector<Complex> u(16, Complex(0, 0));
+    for (int r = 0; r < 4; ++r)
+        u[r * 4 + perm[r]] = phase[r];
+    return u;
+}
+
+TEST(Kernel, FoldedNoisyGate2BitIdenticalToTwoPasses)
+{
+    const int n = 5;
+    const Complex one(1, 0);
+    const int cxPerm[4] = {0, 3, 2, 1}; // control on bit 0
+    const Complex unit[4] = {one, one, one, one};
+    // RZ phases on both wires before and after the CX, multiplied into
+    // its rows and columns like the fused plans do.
+    Rng phaseRng(467);
+    auto rz = [&](int j) {
+        const double a = phaseRng.uniform(-3.0, 3.0);
+        const double b = phaseRng.uniform(-3.0, 3.0);
+        return std::polar(1.0, (j & 1 ? a : -a) + (j & 2 ? b : -b));
+    };
+    Complex left[4], right[4], zz[4];
+    for (int j = 0; j < 4; ++j) {
+        left[j] = rz(j);
+        right[j] = rz(j);
+    }
+    for (int j = 0; j < 4; ++j)
+        zz[j] = std::polar(1.0, j == 0 || j == 3 ? -0.013 : 0.013);
+    const std::vector<Complex> cx = permPhaseMatrix(cxPerm, unit);
+    std::vector<Complex> cxRz = cx, cxZz = cx;
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c) {
+            cxRz[r * 4 + c] = left[r] * cx[r * 4 + c] * right[c];
+            cxZz[r * 4 + c] = zz[r] * cxRz[r * 4 + c];
+        }
+    const int swapPerm[4] = {0, 2, 1, 3};
+    const Complex iswapPhase[4] = {one, Complex(0, 1), Complex(0, 1), one};
+    // Not an involution, so gathering through the inverse permutation
+    // would show.
+    const int cyclePerm[4] = {1, 2, 3, 0};
+    const std::vector<Complex> unitaries[] = {
+        cx, cxRz, cxZz, permPhaseMatrix(swapPerm, iswapPhase),
+        permPhaseMatrix(cyclePerm, left),
+        // Dense: not a permutation, so the entry point falls back.
+        flat(randomMatrix(4, 479))};
+    const std::size_t dense = 5;
+    Complex diag[4];
+    detail::PermPhase pp;
+    ASSERT_TRUE(detail::classifyGate(unitaries[dense].data(), 4, diag,
+                                     pp) == detail::GateKind::General);
+
+    const DensityMatrix init = randomDensity(n, 487);
+    const double lambda = 0.02;
+    for (std::size_t k = 0; k < std::size(unitaries); ++k) {
+        const Complex *u = unitaries[k].data();
+        if (k != dense) {
+            ASSERT_TRUE(detail::classifyGate(u, 4, diag, pp) ==
+                        detail::GateKind::PermPhase);
+        }
+        for (int a = 0; a < n; ++a) {
+            for (int b = 0; b < n; ++b) {
+                if (a == b)
+                    continue;
+                CVector folded[2];
+                for (int scalar = 0; scalar < 2; ++scalar) {
+                    detail::simdDispatchForcedOff() = scalar == 1;
+                    DensityMatrix fold = init, twoPass = init;
+                    fold.applyGate2DepolThermal2q(u, lambda, a, 0.004,
+                                                  0.991, b, 0.006, 0.987);
+                    twoPass.applyGate2(u, a, b);
+                    twoPass.applyDepolThermal2q(lambda, a, 0.004, 0.991,
+                                                b, 0.006, 0.987);
+                    folded[scalar] = elementsOf(fold);
+                    const CVector ref = elementsOf(twoPass);
+                    EXPECT_EQ(std::memcmp(folded[scalar].data(),
+                                          ref.data(),
+                                          ref.size() * sizeof(Complex)),
+                              0)
+                        << "unitary " << k << " pair (" << a << ", " << b
+                        << ") scalar " << scalar;
+                }
+                detail::simdDispatchForcedOff() = false;
+                EXPECT_EQ(std::memcmp(folded[0].data(), folded[1].data(),
+                                      folded[0].size() * sizeof(Complex)),
+                          0)
+                    << "unitary " << k << " pair (" << a << ", " << b
+                    << ") SIMD vs scalar";
+            }
+        }
     }
 }
 

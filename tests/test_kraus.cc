@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "common/rng.h"
 #include "device/catalog.h"
@@ -10,6 +12,31 @@
 
 namespace eqc {
 namespace {
+
+/** true when superopMatrix() can be called on a @p T expression. */
+template <typename T, typename = void>
+struct CanTakeSuperop : std::false_type
+{
+};
+
+template <typename T>
+struct CanTakeSuperop<
+    T, std::void_t<decltype(std::declval<T>().superopMatrix())>>
+    : std::true_type
+{
+};
+
+// The accessor returns a reference into the channel's own cache, so it
+// must compile on a named channel and be refused on a temporary, where
+// the reference would dangle at the end of the full expression.
+static_assert(CanTakeSuperop<KrausChannel &>::value,
+              "superopMatrix() must be callable on an lvalue");
+static_assert(CanTakeSuperop<const KrausChannel &>::value,
+              "superopMatrix() must be callable on a const lvalue");
+static_assert(!CanTakeSuperop<KrausChannel>::value,
+              "superopMatrix() must be ill-formed on a temporary");
+static_assert(!CanTakeSuperop<const KrausChannel &&>::value,
+              "superopMatrix() must be ill-formed on a const rvalue");
 
 TEST(Kraus, DepolarizingIsCPTP)
 {

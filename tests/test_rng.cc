@@ -32,6 +32,28 @@ TEST(Rng, ForkByLabelIsStable)
     EXPECT_DOUBLE_EQ(c1.uniform(), c2.uniform());
 }
 
+TEST(Rng, ForkSeedReplaysForkWithoutTheParent)
+{
+    const uint64_t seeds[] = {0, 1, 7, 0x9E3779B97F4A7C15ULL,
+                              ~uint64_t{0}};
+    const uint64_t labels[] = {0, 1, 42, hashLabel("serve"),
+                               uint64_t{1} << 63};
+    for (uint64_t a : seeds) {
+        for (uint64_t b : labels) {
+            Rng viaFork = Rng(a).fork(b);
+            Rng viaSeed(Rng::forkSeed(a, b));
+            EXPECT_EQ(viaSeed.seed(), viaFork.seed());
+            for (int i = 0; i < 8; ++i)
+                EXPECT_EQ(viaSeed.engine()(), viaFork.engine()())
+                    << a << " " << b << " draw " << i;
+        }
+        // Chained forks nest.
+        Rng chained = Rng(a).fork(3).fork(5);
+        Rng nested(Rng::forkSeed(Rng::forkSeed(a, 3), 5));
+        EXPECT_EQ(nested.engine()(), chained.engine()()) << a;
+    }
+}
+
 TEST(Rng, ForkedStreamsIndependent)
 {
     Rng root(7);
