@@ -81,8 +81,8 @@ class Rng
     std::vector<uint64_t> multinomial(const std::vector<double> &probs,
                                       uint64_t shots);
 
-    /** Access the underlying engine (for std:: distributions). */
-    std::mt19937_64 &engine() { return engine_; }
+    /** One raw 64-bit draw from the underlying engine. */
+    uint64_t nextU64() { return engine_(); }
 
     /** The seed this generator was constructed with. */
     uint64_t seed() const { return seed_; }

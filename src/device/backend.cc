@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/task_pool.h"
 #include "quantum/density_matrix.h"
 #include "quantum/kraus.h"
 #include "quantum/statevector.h"
@@ -187,8 +188,7 @@ SimulatedQpu::SimulatedQpu(SimulatedQpu &&other) noexcept
     : dev_(std::move(other.dev_)),
       tracker_(std::move(other.tracker_)),
       queue_(std::move(other.queue_)),
-      planCache_(std::move(other.planCache_)),
-      ctxCache_(std::move(other.ctxCache_))
+      planCache_(std::move(other.planCache_))
 {
 }
 
@@ -237,84 +237,64 @@ SimulatedQpu::planCacheContains(const TranspiledCircuit &tc) const
            signatureMatches(tc, it->second->signature);
 }
 
-std::shared_ptr<const SimulatedQpu::NoiseContext>
-SimulatedQpu::noiseContextFor(double tH)
+SimulatedQpu::NoiseContext
+SimulatedQpu::noiseContextAt(double tH) const
 {
-    // Held across the build: a gradient batch lands all its circuit
-    // executions on one fresh timestamp at once, and one thread
-    // constructing while the rest wait beats every worker redundantly
-    // re-deriving the same snapshot and superoperators. The cache is
-    // keyed per timestamp (bounded, oldest-time eviction) because the
-    // serving layer interleaves shards of different jobs — different
-    // completion times — on one backend; a single-entry cache would
-    // ping-pong and rebuild on nearly every circuit execution.
-    std::lock_guard<std::mutex> lk(ctxMu_);
-    auto cached = ctxCache_.find(tH);
-    if (cached != ctxCache_.end())
-        return cached->second;
+    NoiseContext nc;
+    nc.timeH = tH;
+    nc.cal = tracker_.actual(tH);
+    nc.noiseless = isNoiseless(nc.cal);
 
-    auto ctx = std::make_shared<NoiseContext>();
-    ctx->timeH = tH;
-    ctx->cal = tracker_.actual(tH);
-    ctx->noiseless = isNoiseless(ctx->cal);
-
-    const double t1qUs = ctx->cal.gate1qTimeNs / 1000.0;
-    const std::size_t nq = ctx->cal.qubits.size();
-    ctx->g1Gamma.resize(nq);
-    ctx->g1Coherence.resize(nq);
-    ctx->hasRx.assign(nq, 0);
-    ctx->rx.resize(nq);
-    ctx->n1.resize(nq);
-    ctx->n1Trivial.assign(nq, 0);
+    const double t1qUs = nc.cal.gate1qTimeNs / 1000.0;
+    const std::size_t nq = nc.cal.qubits.size();
+    nc.g1Gamma.resize(nq);
+    nc.g1Coherence.resize(nq);
+    nc.hasRx.assign(nq, 0);
+    nc.rx.resize(nq);
+    nc.n1.resize(nq);
+    nc.n1Trivial.assign(nq, 0);
     for (std::size_t q = 0; q < nq; ++q) {
-        const QubitCalibration &qc = ctx->cal.qubits[q];
-        thermalFactors(qc, t1qUs, ctx->g1Gamma[q], ctx->g1Coherence[q]);
+        const QubitCalibration &qc = nc.cal.qubits[q];
+        thermalFactors(qc, t1qUs, nc.g1Gamma[q], nc.g1Coherence[q]);
         if (qc.coherentRxRad != 0.0) {
-            ctx->hasRx[q] = 1;
+            nc.hasRx[q] = 1;
             const double angle[1] = {qc.coherentRxRad};
-            gateEntries(GateType::RX, angle, ctx->rx[q].data());
+            gateEntries(GateType::RX, angle, nc.rx[q].data());
         }
         // Thermal relaxation then depolarizing as one 4x4
         // superoperator, composed heap-free and bitwise equal to the
         // Kraus chain (quantum/kraus.h).
         thermalDepolarizingSuperop1q(qc.t1Us, qc.t2Us, t1qUs,
-                                     qc.gate1qError, ctx->n1[q].data());
-        ctx->n1Trivial[q] = !ctx->hasRx[q] && qc.gate1qError <= 0.0 &&
-                            ctx->g1Gamma[q] == 0.0 &&
-                            ctx->g1Coherence[q] == 1.0;
+                                     qc.gate1qError, nc.n1[q].data());
+        nc.n1Trivial[q] = !nc.hasRx[q] && qc.gate1qError <= 0.0 &&
+                            nc.g1Gamma[q] == 0.0 &&
+                            nc.g1Coherence[q] == 1.0;
     }
-    for (const auto &[pair, err] : ctx->cal.cxError) {
-        auto timeIt = ctx->cal.cxTimeNs.find(pair);
-        if (timeIt == ctx->cal.cxTimeNs.end())
+    for (const auto &[pair, err] : nc.cal.cxError) {
+        auto timeIt = nc.cal.cxTimeNs.find(pair);
+        if (timeIt == nc.cal.cxTimeNs.end())
             continue; // no duration on record: unusable pair
         NoiseContext::CxNoise cn;
         const double durUs = timeIt->second / 1000.0;
         const double phase =
-            ctx->cal.cxPhaseFor(pair.first, pair.second);
+            nc.cal.cxPhaseFor(pair.first, pair.second);
         if (phase != 0.0) {
             cn.hasZz = true;
             const double angle[1] = {phase};
             gateEntries(GateType::RZZ, angle, cn.zz);
         }
         cn.err = err;
-        thermalFactors(ctx->cal.qubits[pair.first], durUs, cn.gammaLo,
+        thermalFactors(nc.cal.qubits[pair.first], durUs, cn.gammaLo,
                        cn.cohLo);
-        thermalFactors(ctx->cal.qubits[pair.second], durUs, cn.gammaHi,
+        thermalFactors(nc.cal.qubits[pair.second], durUs, cn.gammaHi,
                        cn.cohHi);
         cn.trivial = err <= 0.0 && cn.gammaLo == 0.0 &&
                      cn.cohLo == 1.0 && cn.gammaHi == 0.0 &&
                      cn.cohHi == 1.0;
-        ctx->cx.emplace(pair, cn);
+        nc.cx.emplace(pair, cn);
     }
 
-    auto inserted = ctxCache_.emplace(tH, std::move(ctx)).first;
-    if (ctxCache_.size() > kMaxNoiseContexts) {
-        auto victim = ctxCache_.begin(); // oldest virtual time
-        if (victim == inserted)
-            ++victim;
-        ctxCache_.erase(victim);
-    }
-    return inserted->second;
+    return nc;
 }
 
 CalibrationSnapshot
@@ -329,144 +309,459 @@ SimulatedQpu::reportedCalibration(double tH) const
     return reportedCal_;
 }
 
-JobResult
-SimulatedQpu::execute(const TranspiledCircuit &tc,
-                      const std::vector<double> &params, int shots,
-                      double atTimeH, Rng &rng, bool sampleCounts)
+/**
+ * The walk of one batch's noisy items over a prefix tree of their
+ * NoisePreserving fused programs. Items that agree on fused ops
+ * [0, d) share one state after them; the tree branches where their op
+ * d differs (sameOp()). Ops are applied in program order on every
+ * path, so each item's state is the one a lone execution builds, bit
+ * for bit.
+ */
+struct SimulatedQpu::BatchWalk
 {
-    const int n = tc.compact.numQubits();
-    if (n < 1)
-        panic("SimulatedQpu::execute: empty circuit");
+    const NoiseContext &nc;
+    const std::vector<ExecItem> &items;
+    /** Per item: its plan (one lookup per distinct circuit). */
+    const std::vector<const ExecPlan *> &planOf;
+    /** Per item: the exact state probabilities at its program's end. */
+    std::vector<std::vector<double>> &probs;
+    TaskPool &pool;
 
-    const std::shared_ptr<const ExecPlan> planPtr = planFor(tc);
-    const ExecPlan &plan = *planPtr;
-    const std::shared_ptr<const NoiseContext> ctxPtr =
-        noiseContextFor(atTimeH);
-    const NoiseContext &nc = *ctxPtr;
-
-    JobResult result;
-    result.shots = shots;
-    result.circuitDurationUs = plan.durationUs;
-
-    if (nc.noiseless) {
-        // Pure-state fast path for the ideal baseline: the Full-fusion
-        // program, one kernel pass per fused operator.
-        Statevector sv(n);
-        applyFusedProgram(plan.ideal, params, sv);
-        result.probabilities = sv.probabilities();
-    } else {
-        DensityMatrix dm(n);
-        Complex scratch[16];
-        for (const FusedOp &op : plan.noisy.ops) {
-            // Evaluate the fused unitary (symbolic ops rebuild their at
-            // most 4x4 product; gate+noise sequences below fold it into
-            // one channel superoperator instead of applying it here).
-            const Complex *u = op.entries;
-            const bool hasUnitary = op.termBegin != op.termEnd;
-            if (hasUnitary && op.symbolic) {
-                fusedEntries(plan.noisy, op, params, scratch);
-                u = scratch;
-            }
-
-            switch (op.primary) {
-              case GateType::RZ:
-                // Virtual-only op: implemented in software, no noise.
-                if (hasUnitary) {
-                    if (op.twoQubit)
-                        op.diagonal ? dm.applyDiag2(u, op.q0, op.q1)
-                                    : dm.applyGate2(u, op.q0, op.q1);
-                    else
-                        op.diagonal ? dm.applyDiag1(u, op.q0)
-                                    : dm.applyGate1(u, op.q0);
-                }
-                break;
-              case GateType::ID: {
-                // Explicit idle: thermal relaxation only, no unitary.
-                const int p0 = plan.physOf[op.q0];
-                dm.applyThermalRelaxation(op.q0, nc.g1Gamma[p0],
-                                          nc.g1Coherence[p0]);
-                break;
-              }
-              case GateType::SX:
-              case GateType::X: {
-                // One pass for the whole sequence the unfused executor
-                // used to spread over up to four: fused unitary,
-                // coherent miscalibration, thermal relaxation and
-                // depolarizing compose into a single 4x4 channel
-                // superoperator N1 * (W (x) conj(W)).
-                const int p0 = plan.physOf[op.q0];
-                Complex w[4];
-                if (nc.hasRx[p0])
-                    matMul(w, nc.rx[p0].data(), u, 2);
-                else
-                    std::memcpy(w, u, sizeof(w));
-                if (nc.n1Trivial[p0]) {
-                    dm.applyGate1(w, op.q0);
-                    break;
-                }
-                Complex m[16], s[16];
-                for (int kp = 0; kp < 2; ++kp)
-                    for (int bp = 0; bp < 2; ++bp)
-                        for (int k = 0; k < 2; ++k)
-                            for (int b = 0; b < 2; ++b)
-                                m[(kp + 2 * bp) * 4 + (k + 2 * b)] =
-                                    w[kp * 2 + k] *
-                                    std::conj(w[bp * 2 + b]);
-                matMul(s, nc.n1[p0].data(), m, 4);
-                dm.applyChannelSuperop1(s, op.q0);
-                break;
-              }
-              case GateType::CX: {
-                const int p0 = plan.physOf[op.q0];
-                const int p1 = plan.physOf[op.q1];
-                const auto key = std::minmax(p0, p1);
-                auto it = nc.cx.find({key.first, key.second});
-                if (it == nc.cx.end())
-                    panic("SimulatedQpu: CX on uncoupled qubits");
-                const NoiseContext::CxNoise &cn = it->second;
-                const Complex *w = u;
-                Complex w2[16];
-                if (cn.hasZz) {
-                    // Residual ZZ phase accompanying the CX pulse
-                    // (swap-symmetric diagonal, orientation-free):
-                    // fold it into the fused unitary's entries.
-                    for (int r = 0; r < 4; ++r)
-                        for (int c = 0; c < 4; ++c)
-                            w2[r * 4 + c] = cn.zz[r] * u[r * 4 + c];
-                    w = w2;
-                }
-                if (cn.trivial) {
-                    dm.applyGate2(w, op.q0, op.q1);
-                    break;
-                }
-                // One block-local pass for the unitary, depolarizing
-                // and both endpoints' thermal relaxation.
-                const bool lo0 = p0 == key.first;
-                dm.applyGate2DepolThermal2q(
-                    w, cn.err, op.q0, lo0 ? cn.gammaLo : cn.gammaHi,
-                    lo0 ? cn.cohLo : cn.cohHi, op.q1,
-                    lo0 ? cn.gammaHi : cn.gammaLo,
-                    lo0 ? cn.cohHi : cn.cohLo);
-                break;
-              }
-              default:
-                panic("SimulatedQpu: non-basis gate '" +
-                      gateName(op.primary) + "' reached the backend");
+    /**
+     * true when items @p a and @p b apply the same channel as their
+     * op @p d: same operator structure, physical qubits (they select
+     * the noise) and bound parameter values, all compared by bits.
+     */
+    bool
+    sameOp(int a, int b, std::size_t d) const
+    {
+        const ExecPlan &pa = *planOf[a];
+        const ExecPlan &pb = *planOf[b];
+        const FusedOp &x = pa.noisy.ops[d];
+        const FusedOp &y = pb.noisy.ops[d];
+        const int numTerms = x.termEnd - x.termBegin;
+        if (x.primary != y.primary || x.twoQubit != y.twoQubit ||
+            x.diagonal != y.diagonal || x.symbolic != y.symbolic ||
+            x.q0 != y.q0 || x.q1 != y.q1 ||
+            numTerms != y.termEnd - y.termBegin)
+            return false;
+        if (pa.physOf[x.q0] != pb.physOf[y.q0] ||
+            (x.twoQubit && pa.physOf[x.q1] != pb.physOf[y.q1]))
+            return false;
+        const std::vector<double> &va = *items[a].params;
+        const std::vector<double> &vb = *items[b].params;
+        for (int t = 0; t < numTerms; ++t) {
+            const FusedTerm &s = pa.noisy.terms[x.termBegin + t];
+            const FusedTerm &u = pb.noisy.terms[y.termBegin + t];
+            if (s.type != u.type || s.wire != u.wire ||
+                s.swapped != u.swapped || s.numParams != u.numParams)
+                return false;
+            for (int k = 0; k < s.numParams; ++k) {
+                const ParamExpr &e = s.params[k];
+                const ParamExpr &f = u.params[k];
+                if (e.index != f.index || !sameBits(e.scale, f.scale) ||
+                    !sameBits(e.offset, f.offset) ||
+                    (e.index >= 0 &&
+                     !sameBits(va[e.index], vb[e.index])))
+                    return false;
             }
         }
-        result.probabilities = dm.probabilities();
-        // SPAM: per-qubit readout confusion on the measured qubits.
-        for (int q : plan.measured) {
-            const QubitCalibration &qc =
-                nc.cal.qubits[plan.physOf[q]];
-            applyReadoutError(result.probabilities, q, qc.readout);
+        if (x.symbolic)
+            return true;
+        const int sub = x.twoQubit ? 4 : 2;
+        const int count = x.diagonal ? sub : sub * sub;
+        return std::memcmp(x.entries, y.entries,
+                           count * sizeof(Complex)) == 0;
+    }
+
+    static bool
+    sameBits(double a, double b)
+    {
+        return std::memcmp(&a, &b, sizeof(double)) == 0;
+    }
+
+    /** Apply item @p i's fused op @p d, with its calibration noise. */
+    void
+    apply(DensityMatrix &dm, int i, std::size_t d) const
+    {
+        const ExecPlan &plan = *planOf[i];
+        const FusedOp &op = plan.noisy.ops[d];
+        const std::vector<double> &params = *items[i].params;
+        Complex scratch[16];
+        // Evaluate the fused unitary (symbolic ops rebuild their at
+        // most 4x4 product; gate+noise sequences below fold it into
+        // one channel superoperator instead of applying it here).
+        const Complex *u = op.entries;
+        const bool hasUnitary = op.termBegin != op.termEnd;
+        if (hasUnitary && op.symbolic) {
+            fusedEntries(plan.noisy, op, params, scratch);
+            u = scratch;
+        }
+
+        switch (op.primary) {
+          case GateType::RZ:
+            // Virtual-only op: implemented in software, no noise.
+            if (hasUnitary) {
+                if (op.twoQubit)
+                    op.diagonal ? dm.applyDiag2(u, op.q0, op.q1)
+                                : dm.applyGate2(u, op.q0, op.q1);
+                else
+                    op.diagonal ? dm.applyDiag1(u, op.q0)
+                                : dm.applyGate1(u, op.q0);
+            }
+            break;
+          case GateType::ID: {
+            // Explicit idle: thermal relaxation only, no unitary.
+            const int p0 = plan.physOf[op.q0];
+            dm.applyThermalRelaxation(op.q0, nc.g1Gamma[p0],
+                                      nc.g1Coherence[p0]);
+            break;
+          }
+          case GateType::SX:
+          case GateType::X: {
+            // One pass for the whole sequence the unfused executor
+            // used to spread over up to four: fused unitary,
+            // coherent miscalibration, thermal relaxation and
+            // depolarizing compose into a single 4x4 channel
+            // superoperator N1 * (W (x) conj(W)).
+            const int p0 = plan.physOf[op.q0];
+            Complex w[4];
+            if (nc.hasRx[p0])
+                matMul(w, nc.rx[p0].data(), u, 2);
+            else
+                std::memcpy(w, u, sizeof(w));
+            if (nc.n1Trivial[p0]) {
+                dm.applyGate1(w, op.q0);
+                break;
+            }
+            Complex m[16], s[16];
+            for (int kp = 0; kp < 2; ++kp)
+                for (int bp = 0; bp < 2; ++bp)
+                    for (int k = 0; k < 2; ++k)
+                        for (int b = 0; b < 2; ++b)
+                            m[(kp + 2 * bp) * 4 + (k + 2 * b)] =
+                                w[kp * 2 + k] *
+                                std::conj(w[bp * 2 + b]);
+            matMul(s, nc.n1[p0].data(), m, 4);
+            dm.applyChannelSuperop1(s, op.q0);
+            break;
+          }
+          case GateType::CX: {
+            const int p0 = plan.physOf[op.q0];
+            const int p1 = plan.physOf[op.q1];
+            const auto key = std::minmax(p0, p1);
+            auto it = nc.cx.find({key.first, key.second});
+            if (it == nc.cx.end())
+                panic("SimulatedQpu: CX on uncoupled qubits");
+            const NoiseContext::CxNoise &cn = it->second;
+            const Complex *w = u;
+            Complex w2[16];
+            if (cn.hasZz) {
+                // Residual ZZ phase accompanying the CX pulse
+                // (swap-symmetric diagonal, orientation-free):
+                // fold it into the fused unitary's entries.
+                for (int r = 0; r < 4; ++r)
+                    for (int c = 0; c < 4; ++c)
+                        w2[r * 4 + c] = cn.zz[r] * u[r * 4 + c];
+                w = w2;
+            }
+            if (cn.trivial) {
+                dm.applyGate2(w, op.q0, op.q1);
+                break;
+            }
+            // One block-local pass for the unitary, depolarizing
+            // and both endpoints' thermal relaxation.
+            const bool lo0 = p0 == key.first;
+            dm.applyGate2DepolThermal2q(
+                w, cn.err, op.q0, lo0 ? cn.gammaLo : cn.gammaHi,
+                lo0 ? cn.cohLo : cn.cohHi, op.q1,
+                lo0 ? cn.gammaHi : cn.gammaLo,
+                lo0 ? cn.cohHi : cn.cohLo);
+            break;
+          }
+          default:
+            panic("SimulatedQpu: non-basis gate '" +
+                  gateName(op.primary) + "' reached the backend");
         }
     }
 
-    if (sampleCounts && shots > 0)
-        result.counts = rng.multinomial(result.probabilities,
-                                        static_cast<uint64_t>(shots));
-    return result;
+    /** Kernel cost of item @p i's ops [from, to): a 2q pass counts 4. */
+    std::size_t
+    cost(int i, std::size_t from, std::size_t to) const
+    {
+        std::size_t c = 0;
+        for (std::size_t r = from; r < to; ++r)
+            c += planOf[i]->noisy.ops[r].twoQubit ? 4 : 1;
+        return c;
+    }
+
+    /**
+     * One serial walk over at most two density matrices: the working
+     * state and the anchor, one saved branch state.
+     *
+     * At a branch the first class continues in place. Every other
+     * class restarts from the nearest state on hand: the branch's own
+     * state in the anchor (its last class takes the anchor's buffer and
+     * frees it), an ancestor branch's state there, or else the base, a
+     * read-only state (|0><0| for the whole tree), replaying the shared
+     * ops since. A branch saves its state in the anchor when it is
+     * free, or takes it from the ancestor holding it when that
+     * ancestor's one rebuild from the base costs less than the replays
+     * this branch's classes would make.
+     */
+    struct Walker
+    {
+        Walker(const BatchWalk &walk, DensityMatrix start,
+               const DensityMatrix *baseState, std::size_t depth,
+               bool fanOutFirst)
+            : bw(walk), work(std::move(start)), base(baseState),
+              baseDepth(depth), fanOut(fanOutFirst)
+        {
+        }
+
+        const BatchWalk &bw;
+        DensityMatrix work;
+        /** The state after ops [0, baseDepth); null means |0><0|. */
+        const DensityMatrix *base;
+        std::size_t baseDepth;
+        /** Fan the classes of the first branch out through the pool. */
+        bool fanOut;
+        std::unique_ptr<DensityMatrix> anchor; ///< allocated on first use
+        /**
+         * The anchor holds the state of the active branch at
+         * anchorDepth. Active branches (the one being walked and its
+         * ancestors) have distinct depths, and each frees the anchor
+         * when its last class takes it, so the depth names the owner.
+         */
+        bool anchored = false;
+        std::size_t anchorDepth = 0;
+
+        /**
+         * Walk the subtree of @p members: items that share fused ops
+         * [0, @p depth), whose state after them work holds.
+         */
+        void
+        descend(std::vector<int> members, std::size_t depth)
+        {
+            for (;;) {
+                // Advance while every member continues with one op.
+                const int lead = members.front();
+                while (std::all_of(
+                    members.begin(), members.end(), [&](int i) {
+                        return bw.planOf[i]->noisy.ops.size() > depth &&
+                               bw.sameOp(lead, i, depth);
+                    }))
+                    bw.apply(work, lead, depth++);
+
+                // Items whose program ends here read the state once.
+                std::vector<int> live;
+                const std::vector<double> *read = nullptr;
+                for (int i : members) {
+                    if (bw.planOf[i]->noisy.ops.size() != depth) {
+                        live.push_back(i);
+                    } else if (!read) {
+                        bw.probs[i] = work.probabilities();
+                        read = &bw.probs[i];
+                    } else {
+                        bw.probs[i] = *read;
+                    }
+                }
+                if (live.empty())
+                    return;
+
+                // Classes of op identity at this depth, in order of
+                // first appearance.
+                std::vector<std::vector<int>> classes;
+                for (int i : live) {
+                    auto c = std::find_if(
+                        classes.begin(), classes.end(),
+                        [&](const std::vector<int> &cl) {
+                            return bw.sameOp(cl[0], i, depth);
+                        });
+                    if (c == classes.end())
+                        classes.push_back({i});
+                    else
+                        c->push_back(i);
+                }
+                if (classes.size() == 1) {
+                    members = std::move(live);
+                    continue;
+                }
+                branch(classes, depth);
+                return;
+            }
+        }
+
+        /** Walk every class of a branch at @p depth. */
+        void
+        branch(std::vector<std::vector<int>> &classes, std::size_t depth)
+        {
+            const std::size_t k = classes.size();
+            if (fanOut) {
+                // The first branch on a multi-thread pool: this state
+                // is the base of one serial walk per pool chunk (nested
+                // in a busy pool, the chunks run inline).
+                bw.pool.parallelJobs(k, [&](uint64_t b, uint64_t e) {
+                    Walker sub{bw, work, &work, depth, false};
+                    for (uint64_t c = b; c < e; ++c) {
+                        if (c != b)
+                            sub.work = work;
+                        bw.apply(sub.work, classes[c][0], depth);
+                        sub.descend(std::move(classes[c]), depth + 1);
+                    }
+                });
+                return;
+            }
+            const int rep = classes[0][0];
+            // Save this state when the anchor is free, or when the
+            // ancestor's state it holds costs less to rebuild from the
+            // base than this branch's classes would replay from it.
+            if (!anchored || bw.cost(rep, baseDepth, anchorDepth) <
+                                 (k - 1) * bw.cost(rep, anchorDepth, depth))
+                save(depth);
+            for (std::size_t c = 0; c < k; ++c) {
+                if (c > 0)
+                    restore(rep, depth, c + 1 == k);
+                bw.apply(work, classes[c][0], depth);
+                descend(std::move(classes[c]), depth + 1);
+            }
+        }
+
+        /**
+         * Bring work back to the state of the branch at @p depth, for
+         * its next class (@p last: its final one).
+         */
+        void
+        restore(int rep, std::size_t depth, bool last)
+        {
+            if (anchored && anchorDepth == depth) {
+                if (last) {
+                    std::swap(work, *anchor);
+                    anchored = false;
+                } else {
+                    work = *anchor;
+                }
+                return;
+            }
+            // Otherwise a held anchor is an ancestor's state on this
+            // path.
+            std::size_t from = baseDepth;
+            if (anchored) {
+                work = *anchor;
+                from = anchorDepth;
+            } else if (base) {
+                work = *base;
+            } else {
+                work.reset();
+            }
+            for (std::size_t r = from; r < depth; ++r)
+                bw.apply(work, rep, r);
+            if (!anchored && !last)
+                save(depth);
+        }
+
+        void
+        save(std::size_t depth)
+        {
+            if (anchor)
+                *anchor = work;
+            else
+                anchor = std::make_unique<DensityMatrix>(work);
+            anchored = true;
+            anchorDepth = depth;
+        }
+    };
+};
+
+std::vector<JobResult>
+SimulatedQpu::executeBatch(const std::vector<ExecItem> &items, int shots,
+                           double atTimeH, bool sampleCounts,
+                           TaskPool *pool)
+{
+    const std::size_t count = items.size();
+    std::vector<const ExecPlan *> planOf(count);
+    // Owners of the looked-up plans; items naming one circuit share
+    // one lookup.
+    std::vector<std::shared_ptr<const ExecPlan>> plans;
+    for (std::size_t i = 0; i < count; ++i) {
+        const TranspiledCircuit *tc = items[i].tc;
+        if (tc->compact.numQubits() < 1)
+            panic("SimulatedQpu::executeBatch: empty circuit");
+        std::size_t j = 0;
+        while (j < i && items[j].tc != tc)
+            ++j;
+        if (j < i) {
+            planOf[i] = planOf[j];
+        } else {
+            plans.push_back(planFor(*tc));
+            planOf[i] = plans.back().get();
+        }
+    }
+
+    const NoiseContext nc = noiseContextAt(atTimeH);
+    TaskPool &p = pool ? *pool : TaskPool::shared();
+    std::vector<std::vector<double>> probs(count);
+    if (nc.noiseless) {
+        // Pure-state fast path for the ideal baseline: per item, the
+        // Full-fusion program, one kernel pass per fused operator.
+        p.parallelJobs(count, [&](uint64_t b, uint64_t e) {
+            for (uint64_t i = b; i < e; ++i) {
+                Statevector sv(planOf[i]->numQubits);
+                applyFusedProgram(planOf[i]->ideal, *items[i].params, sv);
+                probs[i] = sv.probabilities();
+            }
+        });
+    } else {
+        // One tree per circuit width, each from its own |0><0|.
+        const BatchWalk walk{nc, items, planOf, probs, p};
+        std::vector<char> done(count, 0);
+        for (std::size_t i = 0; i < count; ++i) {
+            if (done[i])
+                continue;
+            const int n = planOf[i]->numQubits;
+            std::vector<int> members;
+            for (std::size_t j = i; j < count; ++j) {
+                if (planOf[j]->numQubits == n) {
+                    members.push_back(static_cast<int>(j));
+                    done[j] = 1;
+                }
+            }
+            BatchWalk::Walker walker{walk, DensityMatrix(n), nullptr, 0,
+                                     p.threadCount() > 1};
+            walker.descend(std::move(members), 0);
+        }
+    }
+
+    std::vector<JobResult> results(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const ExecPlan &plan = *planOf[i];
+        JobResult &r = results[i];
+        r.shots = shots;
+        r.circuitDurationUs = plan.durationUs;
+        r.probabilities = std::move(probs[i]);
+        if (!nc.noiseless) {
+            // SPAM: per-qubit readout confusion on the measured qubits.
+            for (int q : plan.measured) {
+                const QubitCalibration &qc =
+                    nc.cal.qubits[plan.physOf[q]];
+                applyReadoutError(r.probabilities, q, qc.readout);
+            }
+        }
+        if (sampleCounts && shots > 0)
+            r.counts = items[i].rng->multinomial(
+                r.probabilities, static_cast<uint64_t>(shots));
+    }
+    return results;
+}
+
+JobResult
+QuantumBackend::execute(const TranspiledCircuit &tc,
+                        const std::vector<double> &params, int shots,
+                        double atTimeH, Rng &rng, bool sampleCounts)
+{
+    return std::move(
+        executeBatch({{&tc, &params, &rng}}, shots, atTimeH,
+                     sampleCounts)[0]);
 }
 
 Device

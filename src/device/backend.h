@@ -14,7 +14,6 @@
 #define EQC_DEVICE_BACKEND_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +24,8 @@
 #include "transpile/transpiler.h"
 
 namespace eqc {
+
+class TaskPool;
 
 /** Result of one batch execution on a backend. */
 struct JobResult
@@ -42,6 +43,16 @@ struct JobResult
     double circuitDurationUs = 0.0;
 };
 
+/** One circuit of a batch execution (QuantumBackend::executeBatch). */
+struct ExecItem
+{
+    const TranspiledCircuit *tc = nullptr;
+    /** Values for the circuit's parameter table. */
+    const std::vector<double> *params = nullptr;
+    /** Stream for this item's shot sampling. */
+    Rng *rng = nullptr;
+};
+
 /** Abstract execution target for transpiled circuits. */
 class QuantumBackend
 {
@@ -49,7 +60,30 @@ class QuantumBackend
     virtual ~QuantumBackend() = default;
 
     /**
-     * Execute a bound circuit.
+     * Execute several bound circuits submitted at one time — the
+     * shape of a parameter-shift gradient over measurement groups.
+     *
+     * Each item's result is bit-identical to executing it alone.
+     * Items are sampled in item order after every circuit has run, so
+     * items that share one Rng draw exactly as the same sequence of
+     * execute() calls would.
+     *
+     * @param items circuits to run (see ExecItem); every pointer must
+     *        outlive the call
+     * @param shots number of measurement shots per item
+     * @param atTimeH virtual submission time (selects the noise state)
+     * @param sampleCounts also draw multinomial counts (exact
+     *        distributions are always returned)
+     * @param pool fan-out pool; nullptr means TaskPool::shared()
+     * @return one result per item, in item order
+     */
+    virtual std::vector<JobResult>
+    executeBatch(const std::vector<ExecItem> &items, int shots,
+                 double atTimeH, bool sampleCounts,
+                 TaskPool *pool = nullptr) = 0;
+
+    /**
+     * Execute one bound circuit: a one-item executeBatch().
      *
      * @param tc transpiled circuit (compact form is executed)
      * @param params values for the circuit's parameter table
@@ -59,10 +93,9 @@ class QuantumBackend
      * @param sampleCounts also draw multinomial counts (exact
      *        distribution is always returned)
      */
-    virtual JobResult execute(const TranspiledCircuit &tc,
-                              const std::vector<double> &params, int shots,
-                              double atTimeH, Rng &rng,
-                              bool sampleCounts) = 0;
+    JobResult execute(const TranspiledCircuit &tc,
+                      const std::vector<double> &params, int shots,
+                      double atTimeH, Rng &rng, bool sampleCounts);
 
     /** Device this backend fronts. */
     virtual const Device &device() const = 0;
@@ -101,13 +134,26 @@ class SimulatedQpu : public QuantumBackend
 
     ~SimulatedQpu() override;
 
-    /** Movable (the plan cache moves along; the mutex starts fresh). */
+    /** Movable (the plan cache moves along; its mutex starts fresh). */
     SimulatedQpu(SimulatedQpu &&other) noexcept;
 
-    JobResult execute(const TranspiledCircuit &tc,
-                      const std::vector<double> &params, int shots,
-                      double atTimeH, Rng &rng,
-                      bool sampleCounts) override;
+    /**
+     * Builds one noise context for @p atTimeH and looks up each
+     * distinct plan once. Noisy items then run as a prefix tree over
+     * their NoisePreserving fused programs: an op that several items
+     * share (same operator, physical qubits and bound parameter bits)
+     * is applied once, and op order is never changed, so every result
+     * is bit-identical to a lone execute(). On one thread the walk
+     * holds at most two density matrices: the working state and one
+     * saved branch state. On a multi-thread @p pool the classes of the
+     * first branch fan out, each pool chunk walking serially from that
+     * branch's state with its own two. Noiseless items run one by one
+     * on the statevector.
+     */
+    std::vector<JobResult> executeBatch(const std::vector<ExecItem> &items,
+                                        int shots, double atTimeH,
+                                        bool sampleCounts,
+                                        TaskPool *pool = nullptr) override;
 
     const Device &device() const override { return dev_; }
 
@@ -139,30 +185,27 @@ class SimulatedQpu : public QuantumBackend
     struct ExecPlan;
 
     /**
-     * Everything execute() derives from the actual calibration at one
-     * submission time, cached so the many circuits of a gradient batch
-     * (all submitted at the same completion time) build it once:
-     * the drifted snapshot itself, per-qubit noise superoperators and
-     * thermal-relaxation factors for the 1q gate time, precompiled
-     * coherent-miscalibration and ZZ-phase entries, and per-pair CX
-     * noise. (Circuit durations live on the ExecPlan — gate times
-     * never drift.) Each qubit's 1q noise superoperator is composed
-     * heap-free by thermalDepolarizingSuperop1q (quantum/kraus.h),
-     * bitwise equal to the Kraus-chain reference. Safe to share across
-     * concurrently executing jobs.
+     * Everything a batch derives from the actual calibration at its
+     * submission time, built once per executeBatch() call (every item
+     * of a batch shares one time): the drifted snapshot itself,
+     * per-qubit noise superoperators and thermal-relaxation factors
+     * for the 1q gate time, precompiled coherent-miscalibration and
+     * ZZ-phase entries, and per-pair CX noise. (Circuit durations live
+     * on the ExecPlan — gate times never drift.) Each qubit's 1q noise
+     * superoperator is composed heap-free by
+     * thermalDepolarizingSuperop1q (quantum/kraus.h), bitwise equal to
+     * the Kraus-chain reference. Read-only once built.
      */
     struct NoiseContext;
+
+    /** The prefix-tree walk of one batch (see executeBatch()). */
+    struct BatchWalk;
 
     /** Cached plan for @p tc, building it on first sight. */
     std::shared_ptr<const ExecPlan> planFor(const TranspiledCircuit &tc);
 
-    /**
-     * Cached noise context for time @p tH. The cache holds up to
-     * kMaxNoiseContexts timestamps (oldest virtual time evicted) so
-     * concurrently executing jobs with different completion times —
-     * the serving layer's shard fan-out — don't thrash it.
-     */
-    std::shared_ptr<const NoiseContext> noiseContextFor(double tH);
+    /** The noise context at time @p tH (built afresh; not cached). */
+    NoiseContext noiseContextAt(double tH) const;
 
     Device dev_;
     CalibrationTracker tracker_;
@@ -171,11 +214,6 @@ class SimulatedQpu : public QuantumBackend
     mutable std::mutex planMu_;
     std::unordered_map<uint64_t, std::shared_ptr<const ExecPlan>>
         planCache_;
-
-    static constexpr std::size_t kMaxNoiseContexts = 16;
-
-    std::mutex ctxMu_;
-    std::map<double, std::shared_ptr<const NoiseContext>> ctxCache_;
 
     mutable std::mutex reportedMu_;
     mutable bool hasReported_ = false;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/task_pool.h"
 
 namespace eqc {
 
@@ -105,14 +104,11 @@ ExpectationEstimator::compileFor(const CouplingMap &map,
 
 ExpectationEstimator::GroupPartial
 ExpectationEstimator::estimateGroup(
-    QuantumBackend &backend, const MeasurementGroup &g,
-    const TranspiledCircuit &tc, const std::vector<double> &params,
-    int shots, double atTimeH, Rng &rng, ShotMode mode,
+    const MeasurementGroup &g, const TranspiledCircuit &tc,
+    JobResult job, int shots, Rng &rng, ShotMode mode,
     const CalibrationSnapshot *reported) const
 {
     GroupPartial out;
-    JobResult job = backend.execute(tc, params, shots, atTimeH, rng,
-                                    mode == ShotMode::Multinomial);
     out.measurements = tc.counts.measurements;
     out.durationUs = job.circuitDurationUs;
 
@@ -192,25 +188,32 @@ ExpectationEstimator::estimateBatch(QuantumBackend &backend,
         mitigateReadout ? &reported : nullptr;
 
     // One parent draw seeds a per-execution fork lattice: every
-    // (evaluation, group) circuit gets its own stream, so scheduling
-    // cannot perturb the numbers and the parent stream advances the
-    // same way for every batch size.
-    const uint64_t forkBase = rng.engine()();
+    // (evaluation, group) circuit gets its own stream, so the parent
+    // stream advances the same way for every batch size.
+    const uint64_t forkBase = rng.nextU64();
 
+    // The whole (evaluation x group) set is one backend batch: the
+    // circuits share one submission time and long common prefixes.
     const std::size_t flat = jobs.size() * numGroups;
-    std::vector<GroupPartial> parts(flat);
-    auto runRange = [&](uint64_t b, uint64_t e) {
-        for (uint64_t f = b; f < e; ++f) {
-            const std::size_t ji = f / numGroups;
-            const std::size_t gi = f % numGroups;
-            Rng jobRng(Rng::forkSeed(forkBase, f));
-            parts[f] = estimateGroup(
-                backend, groups_[gi], (*jobs[ji].compiled)[gi],
-                *jobs[ji].params, shots, atTimeH, jobRng, mode, rep);
-        }
-    };
-    TaskPool &p = pool ? *pool : TaskPool::shared();
-    p.parallelJobs(flat, runRange);
+    std::vector<Rng> rngs;
+    rngs.reserve(flat);
+    std::vector<ExecItem> items;
+    items.reserve(flat);
+    for (std::size_t f = 0; f < flat; ++f) {
+        rngs.emplace_back(Rng::forkSeed(forkBase, f));
+        items.push_back({&(*jobs[f / numGroups].compiled)[f % numGroups],
+                         jobs[f / numGroups].params, &rngs[f]});
+    }
+    std::vector<JobResult> runs =
+        backend.executeBatch(items, shots, atTimeH,
+                             mode == ShotMode::Multinomial, pool);
+
+    std::vector<GroupPartial> parts;
+    parts.reserve(flat);
+    for (std::size_t f = 0; f < flat; ++f)
+        parts.push_back(estimateGroup(groups_[f % numGroups], *items[f].tc,
+                                      std::move(runs[f]), shots, rngs[f],
+                                      mode, rep));
 
     std::vector<EnergyEstimate> out(jobs.size());
     for (std::size_t ji = 0; ji < jobs.size(); ++ji) {

@@ -120,7 +120,7 @@ class ExpectationEstimator
      *        using the backend's *reported* calibration (standard IBMQ
      *        measurement-error mitigation; residual error remains when
      *        the reported calibration is stale)
-     * @param pool fan-out pool for the per-group executions; nullptr
+     * @param pool fan-out pool for the group batch's branches; nullptr
      *        means TaskPool::shared()
      */
     EnergyEstimate estimate(QuantumBackend &backend,
@@ -131,10 +131,12 @@ class ExpectationEstimator
                             TaskPool *pool = nullptr) const;
 
     /**
-     * Estimate <H> for several independent evaluations at once,
-     * fanning the (evaluation x measurement-group) circuit executions
-     * through a TaskPool — the shape of a parameter-shift gradient
-     * (forward/backward pairs) and of multi-job engine fan-out.
+     * Estimate <H> for several independent evaluations at once — the
+     * shape of a parameter-shift gradient (forward/backward pairs over
+     * the measurement groups). The whole (evaluation x group) circuit
+     * set is one QuantumBackend::executeBatch() call: one noise
+     * context, and on SimulatedQpu one prefix tree whose branches fan
+     * out through @p pool.
      *
      * Each circuit execution draws from its own child generator forked
      * off one @p rng draw, so results are *identical for every thread
@@ -142,8 +144,7 @@ class ExpectationEstimator
      * one draw regardless of batch size. Results are reduced in a
      * fixed order, making the whole batch bit-deterministic.
      *
-     * @param backend execution target; must tolerate concurrent
-     *        execute() calls (SimulatedQpu does)
+     * @param backend execution target
      * @param jobs evaluations to run (see EstimateJob)
      * @param pool fan-out pool; nullptr means TaskPool::shared()
      * @return one estimate per job, in job order
@@ -165,12 +166,10 @@ class ExpectationEstimator
         double durationUs = 0.0;
     };
 
-    GroupPartial estimateGroup(QuantumBackend &backend,
-                               const MeasurementGroup &group,
-                               const TranspiledCircuit &tc,
-                               const std::vector<double> &params,
-                               int shots, double atTimeH, Rng &rng,
-                               ShotMode mode,
+    /** Reduce one executed group circuit to its energy terms. */
+    GroupPartial estimateGroup(const MeasurementGroup &group,
+                               const TranspiledCircuit &tc, JobResult job,
+                               int shots, Rng &rng, ShotMode mode,
                                const CalibrationSnapshot *reported) const;
 
     PauliSum hamiltonian_;

@@ -3,11 +3,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "circuit/ansatz.h"
+#include "common/task_pool.h"
 #include "device/backend.h"
 #include "device/catalog.h"
+#include "hamiltonian/heisenberg.h"
+#include "quantum/simd_dispatch.h"
+#include "vqa/expectation.h"
+#include "vqa/problem.h"
 
 namespace eqc {
 namespace {
@@ -328,8 +336,8 @@ probabilityDigest(const std::vector<double> &probs)
 
 /**
  * Digests of the exact (unsampled) probabilities of one parameterised
- * 4-qubit circuit at @p hours, then at hours[0] again after 20 newer
- * hours have evicted its noise context from the cache.
+ * 4-qubit circuit at @p hours, then at hours[0] again after 20
+ * executions at newer hours.
  */
 std::vector<uint64_t>
 executeDigests(const std::string &device, const double (&hours)[3])
@@ -364,7 +372,8 @@ executeDigests(const std::string &device, const double (&hours)[3])
 // exact probabilities fails here. Casablanca carries coherent RX and
 // ZZ errors; Toronto has 27 qubits, so its noise context covers far
 // more than the circuit's 4. The last entry of each revisits the first
-// hour after its noise context was evicted and rebuilt.
+// hour after 20 executions at other hours: nothing a backend carries
+// between executions may move it.
 TEST(Backend, ExecuteProbabilitiesArePinnedBitwise)
 {
     const double hours[3] = {0.5, 13.25, 41.0};
@@ -380,6 +389,251 @@ TEST(Backend, ExecuteProbabilitiesArePinnedBitwise)
         0xF9A5BA8638040BEEULL, 0x76179577DA930BB2ULL};
     EXPECT_EQ(casablanca, wantCasablanca);
     EXPECT_EQ(toronto, wantToronto);
+}
+
+/**
+ * The circuits and bindings of one batch. Items point into the deques,
+ * so a spec is built in place and never moved.
+ */
+struct BatchSpec
+{
+    std::deque<std::vector<TranspiledCircuit>> circuits;
+    std::deque<std::vector<double>> bindings;
+    std::vector<std::pair<const TranspiledCircuit *,
+                          const std::vector<double> *>>
+        items;
+
+    const std::vector<double> *
+    bind(std::vector<double> params)
+    {
+        bindings.push_back(std::move(params));
+        return &bindings.back();
+    }
+
+    /** Every group circuit of @p compiled under @p params. */
+    void
+    addJob(const std::vector<TranspiledCircuit> &compiled,
+           const std::vector<double> *params)
+    {
+        for (const TranspiledCircuit &tc : compiled)
+            items.push_back({&tc, params});
+    }
+};
+
+/** @p compiled with occurrence @p occ of parameter @p k shifted. */
+std::vector<TranspiledCircuit>
+shiftOccurrence(const std::vector<TranspiledCircuit> &compiled, int k,
+                int occ, double delta)
+{
+    std::vector<TranspiledCircuit> out = compiled;
+    for (TranspiledCircuit &tc : out) {
+        QuantumCircuit shifted(tc.compact.numQubits(),
+                               tc.compact.numParams());
+        int seen = 0;
+        for (GateOp op : tc.compact.ops()) {
+            for (ParamExpr &pe : op.params)
+                if (pe.index == k && seen++ == occ)
+                    pe.offset += delta;
+            if (op.type == GateType::BARRIER)
+                shifted.barrier();
+            else
+                shifted.addGate(op.type,
+                                op.arity() == 2
+                                    ? std::vector<int>{op.qubits[0],
+                                                       op.qubits[1]}
+                                    : std::vector<int>{op.qubits[0]},
+                                op.params);
+        }
+        tc.compact = std::move(shifted);
+    }
+    return out;
+}
+
+/** Occurrences of parameter @p k in @p tc's compact circuit. */
+int
+occurrences(const TranspiledCircuit &tc, int k)
+{
+    int count = 0;
+    for (const GateOp &op : tc.compact.ops())
+        for (const ParamExpr &pe : op.params)
+            count += pe.index == k;
+    return count;
+}
+
+/** The 4-qubit VQE, the QAOA ring and the 7-qubit Heisenberg chain. */
+std::vector<VqaProblem>
+batchProblems()
+{
+    VqaProblem chain;
+    chain.ansatz = hardwareEfficientAnsatz(7);
+    std::vector<std::pair<int, int>> edges;
+    for (int q = 0; q + 1 < 7; ++q)
+        edges.emplace_back(q, q + 1);
+    chain.hamiltonian = heisenbergHamiltonian(7, edges, 1.0, 1.0);
+    for (int k = 0; k < chain.ansatz.numParams(); ++k)
+        chain.initialParams.push_back(0.1 + 0.37 * k);
+    return {makeHeisenbergVqe(7), makeRingMaxCutQaoa(7), chain};
+}
+
+/**
+ * One mixed batch of every problem's unshifted groups, with widths
+ * interleaved and duplicate items (the same circuit twice, and an
+ * equal copy of one). Then gradient batches as the estimator submits
+ * them, for every parameter of every problem: the +-pi/2
+ * WholeParameter pair over all groups and (all but the chain's middle
+ * parameters) every PerOccurrence pair.
+ */
+std::deque<BatchSpec>
+gradientBatches(const CouplingMap &map)
+{
+    const double shift = 1.5707963267948966;
+    std::deque<BatchSpec> out;
+    BatchSpec &mixed = out.emplace_back();
+    for (const VqaProblem &p : batchProblems()) {
+        ExpectationEstimator est(p.hamiltonian, p.ansatz);
+        mixed.circuits.push_back(est.compileFor(map));
+        const std::vector<TranspiledCircuit> &compiled =
+            mixed.circuits.back();
+        const std::vector<double> *base = mixed.bind(p.initialParams);
+        const int numParams = static_cast<int>(p.initialParams.size());
+        for (int k = 0; k < numParams; ++k) {
+            BatchSpec &whole = out.emplace_back();
+            for (double sign : {1.0, -1.0}) {
+                std::vector<double> shifted = p.initialParams;
+                shifted[k] += sign * shift;
+                whole.addJob(compiled, whole.bind(shifted));
+            }
+
+            if (numParams > 16 && k > 0 && k + 1 < numParams)
+                continue;
+            BatchSpec &perOcc = out.emplace_back();
+            const std::vector<double> *params = perOcc.bind(p.initialParams);
+            for (int occ = 0; occ < occurrences(compiled[0], k); ++occ) {
+                for (double sign : {1.0, -1.0}) {
+                    perOcc.circuits.push_back(
+                        shiftOccurrence(compiled, k, occ, sign * shift));
+                    perOcc.addJob(perOcc.circuits.back(), params);
+                }
+            }
+        }
+        mixed.addJob(compiled, base);
+        mixed.items.push_back(mixed.items.front());
+    }
+    mixed.circuits.push_back({mixed.circuits.front().front()});
+    mixed.items.push_back(
+        {&mixed.circuits.back().front(), mixed.items.front().second});
+    return out;
+}
+
+/** Each item alone through execute(), item i sampling Rng(100 + i). */
+std::vector<JobResult>
+executeSingly(SimulatedQpu &qpu, const BatchSpec &spec, double tH)
+{
+    std::vector<JobResult> out;
+    for (std::size_t i = 0; i < spec.items.size(); ++i) {
+        Rng rng(100 + i);
+        out.push_back(qpu.execute(*spec.items[i].first,
+                                  *spec.items[i].second, 4096, tH, rng,
+                                  true));
+    }
+    return out;
+}
+
+/** The whole spec through one executeBatch(), same streams. */
+std::vector<JobResult>
+executeBatched(SimulatedQpu &qpu, const BatchSpec &spec, double tH,
+               TaskPool &pool)
+{
+    std::deque<Rng> rngs;
+    std::vector<ExecItem> items;
+    for (std::size_t i = 0; i < spec.items.size(); ++i) {
+        rngs.emplace_back(100 + i);
+        items.push_back(
+            {spec.items[i].first, spec.items[i].second, &rngs.back()});
+    }
+    return qpu.executeBatch(items, 4096, tH, true, &pool);
+}
+
+void
+expectBitEqual(const std::vector<JobResult> &got,
+               const std::vector<JobResult> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const JobResult &g = got[i];
+        const JobResult &w = want[i];
+        ASSERT_EQ(g.probabilities.size(), w.probabilities.size())
+            << what << " item " << i;
+        ASSERT_EQ(g.counts.size(), w.counts.size()) << what << " item " << i;
+        EXPECT_EQ(std::memcmp(g.probabilities.data(), w.probabilities.data(),
+                              g.probabilities.size() * sizeof(double)),
+                  0)
+            << what << " item " << i << " probabilities";
+        EXPECT_EQ(std::memcmp(g.counts.data(), w.counts.data(),
+                              g.counts.size() * sizeof(uint64_t)),
+                  0)
+            << what << " item " << i << " counts";
+        EXPECT_EQ(g.shots, w.shots);
+        EXPECT_EQ(g.circuitDurationUs, w.circuitDurationUs);
+    }
+}
+
+/** Every batch of @p specs against its items run one at a time. */
+void
+expectBatchesMatchSingles(const Device &dev,
+                          const std::deque<BatchSpec> &specs)
+{
+    const double tH = 6.5;
+    TaskPool one(1), two(2), four(4);
+    for (bool scalar : {false, true}) {
+        detail::simdDispatchForcedOff() = scalar;
+        SimulatedQpu qpu(dev, 11);
+        for (std::size_t b = 0; b < specs.size(); ++b) {
+            const std::vector<JobResult> want =
+                executeSingly(qpu, specs[b], tH);
+            for (TaskPool *pool : {&one, &two, &four}) {
+                expectBitEqual(
+                    executeBatched(qpu, specs[b], tH, *pool), want,
+                    dev.name + " batch " + std::to_string(b) +
+                        (scalar ? " scalar" : " simd") + " threads " +
+                        std::to_string(pool->threadCount()));
+            }
+        }
+    }
+    detail::simdDispatchForcedOff() = false;
+}
+
+// executeBatch shares the prefix ops of its items; none of that may
+// move a bit of any item's result against executing it alone.
+TEST(Backend, ExecuteBatchBitIdenticalToSingleExecutes)
+{
+    for (const char *name : {"ibmq_casablanca", "ideal"}) {
+        const Device dev =
+            std::string(name) == "ideal" ? makeIdealDevice(7)
+                                         : deviceByName(name);
+        expectBatchesMatchSingles(dev, gradientBatches(dev.coupling));
+    }
+}
+
+// Two items whose fused ops agree but whose compact qubits sit on
+// swapped physical qubits carry different noise: they may not share.
+TEST(Backend, ExecuteBatchKeysOpsOnPhysicalQubits)
+{
+    const Device dev = deviceByName("ibmq_casablanca");
+    QuantumCircuit c(2, 2);
+    c.ry(0, ParamExpr::symbol(0));
+    c.ry(1, ParamExpr::symbol(1));
+    c.cx(0, 1);
+    c.rx(0, ParamExpr::constant(0.4));
+    c.measureAll();
+    std::deque<BatchSpec> specs(1);
+    BatchSpec &spec = specs.front();
+    spec.circuits.push_back({transpile(c, dev.coupling)});
+    TranspiledCircuit swapped = spec.circuits.back().front();
+    std::swap(swapped.compactToPhysical[0], swapped.compactToPhysical[1]);
+    spec.circuits.back().push_back(swapped);
+    spec.addJob(spec.circuits.back(), spec.bind({0.3, 1.2}));
+    expectBatchesMatchSingles(dev, specs);
 }
 
 } // namespace

@@ -44,13 +44,13 @@ TEST(Rng, ForkSeedReplaysForkWithoutTheParent)
             Rng viaSeed(Rng::forkSeed(a, b));
             EXPECT_EQ(viaSeed.seed(), viaFork.seed());
             for (int i = 0; i < 8; ++i)
-                EXPECT_EQ(viaSeed.engine()(), viaFork.engine()())
+                EXPECT_EQ(viaSeed.nextU64(), viaFork.nextU64())
                     << a << " " << b << " draw " << i;
         }
         // Chained forks nest.
         Rng chained = Rng(a).fork(3).fork(5);
         Rng nested(Rng::forkSeed(Rng::forkSeed(a, 3), 5));
-        EXPECT_EQ(nested.engine()(), chained.engine()()) << a;
+        EXPECT_EQ(nested.nextU64(), chained.nextU64()) << a;
     }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/stats.h"
 #include "common/task_pool.h"
@@ -155,28 +157,40 @@ TEST(ParameterShift, PerOccurrenceExactForSharedQaoaParams)
 TEST(ParameterShift, BatchedGradientInvariantAcrossThreadCounts)
 {
     // Fan-out through a TaskPool must not perturb the numbers: every
-    // circuit execution draws from its own forked stream and the
-    // reduction order is fixed, so 1, 2 and 4 threads agree bit-for-
-    // bit — on the noisy density-matrix backend, in both shot modes.
+    // circuit execution draws from its own forked stream, the batch's
+    // prefix tree applies every op in program order and the reduction
+    // order is fixed, so 1, 2 and 4 threads agree bit for bit — on the
+    // noisy density-matrix backend, in both shot modes, under both
+    // shift rules and for every parameter.
     VqaProblem p = vqe();
     Device d = deviceByName("ibmq_bogota");
     SimulatedQpu qpu(d, 3);
     ExpectationEstimator est(p.hamiltonian, p.ansatz);
     auto compiled = est.compileFor(d.coupling);
+    TaskPool one(1), two(2), four(4);
 
     for (ShotMode mode : {ShotMode::Gaussian, ShotMode::Multinomial}) {
-        double ref = 0.0;
-        for (int threads : {1, 2, 4}) {
-            TaskPool pool(threads);
-            Rng rng(5);
-            GradientEstimate g = gradientParamShift(
-                est, qpu, compiled, p.initialParams, 0, 4096, 1.0,
-                rng, mode, ShiftMode::WholeParameter, true, &pool);
-            if (threads == 1)
-                ref = g.gradient;
-            else
-                EXPECT_DOUBLE_EQ(g.gradient, ref)
-                    << "threads " << threads;
+        for (ShiftMode shift :
+             {ShiftMode::WholeParameter, ShiftMode::PerOccurrence}) {
+            for (int k = 0; k < p.numParams(); ++k) {
+                uint64_t ref = 0;
+                for (TaskPool *pool : {&one, &two, &four}) {
+                    Rng rng(5);
+                    GradientEstimate g = gradientParamShift(
+                        est, qpu, compiled, p.initialParams, k, 4096, 1.0,
+                        rng, mode, shift, true, pool);
+                    uint64_t bits;
+                    std::memcpy(&bits, &g.gradient, sizeof(bits));
+                    if (pool == &one)
+                        ref = bits;
+                    else
+                        EXPECT_EQ(bits, ref)
+                            << "threads " << pool->threadCount()
+                            << " param " << k << " shift "
+                            << static_cast<int>(shift) << " mode "
+                            << static_cast<int>(mode);
+                }
+            }
         }
     }
 }
