@@ -18,9 +18,11 @@
  *   --clock steady   wall-clock serving: events fire in real time at
  *                    --timescale wall seconds per model hour
  *
- * Reported: wall-clock jobs/sec, virtual-time latency percentiles
- * p50/p95/p99, coalescing/cache-hit/requeue counters, admission
- * rejections by reason with the retry-after hint distribution, and
+ * Reported: wall-clock jobs/sec, exact virtual-time latency
+ * percentiles p50/p95/p99 over every drained outcome,
+ * coalescing/cache-hit/requeue counters, admission rejections by
+ * reason with the exact retry-after percentiles over every
+ * capacity-rejected ticket a tenant received, and
  * per-member executed shots (cache-aware placement telemetry).
  * Optional --fail kills one member mid-campaign to exercise the
  * requeue path under load. With --out the same numbers land in a
@@ -62,6 +64,7 @@
  * runs with obs::diff semantics offline.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +77,7 @@
 #include "bench_util.h"
 #include "common/event_loop.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/task_pool.h"
 #include "obs/exposition.h"
 #include "device/catalog.h"
@@ -195,7 +199,6 @@ main(int argc, char **argv)
     if (nodes > 0) {
         RouterOptions ro;
         ro.threadedDrain = true;
-        ro.seed = seed;
         router.reset(new Router(ro));
         for (int n = 0; n < nodes; ++n)
             router->addNode(evaluationEnsemble(), opts);
@@ -250,6 +253,10 @@ main(int argc, char **argv)
     uint64_t sloJobs = 0;
     uint64_t sloMet = 0;
     uint64_t degradedJobs = 0;
+    // Every drained outcome's latency and every capacity-rejected
+    // ticket's retry-after hint, for exact percentiles at the end.
+    std::vector<double> latencies;
+    std::vector<double> retryHints;
     // Deterministic bench-side injection stream: deadline coin flips
     // and churn events come from one forked Rng, independent of the
     // node's own seed-derived execution randomness.
@@ -286,6 +293,9 @@ main(int argc, char **argv)
                     ? tn.req.submitH + sloH
                     : 0.0;
             Ticket ticket = submitJob(tn.req);
+            if (ticket.status == AdmitStatus::RejectedQueueFull ||
+                ticket.status == AdmitStatus::RejectedTenantQuota)
+                retryHints.push_back(ticket.retryAfterS);
             if (!ticket.admitted()) {
                 // Backpressure: come back when the hint says so.
                 tn.nextSubmitH += ticket.retryAfterS / 3600.0;
@@ -296,6 +306,7 @@ main(int argc, char **argv)
             fleet[static_cast<std::size_t>(o.tenantId)].nextSubmitH =
                 o.completeH;
             ++completed;
+            latencies.push_back(o.latencyH);
             if (o.deadlineH > 0.0) {
                 ++sloJobs;
                 if (!o.shed)
@@ -313,11 +324,14 @@ main(int argc, char **argv)
     if (router)
         router->stopServe();
 
-    const stats::Percentiles &lat =
-        router ? router->latencyStats() : single->latencyStats();
-    // Routed runs sample node 0's hint stream (per-node estimators).
-    const stats::Percentiles &retry =
-        (router ? router->node(0) : *single).retryAfterStats();
+    std::sort(latencies.begin(), latencies.end());
+    std::sort(retryHints.begin(), retryHints.end());
+    const double latP50 = exactQuantile(latencies, 0.50) * 3600.0;
+    const double latP95 = exactQuantile(latencies, 0.95) * 3600.0;
+    const double latP99 = exactQuantile(latencies, 0.99) * 3600.0;
+    const double retryP50 = exactQuantile(retryHints, 0.50);
+    const double retryP95 = exactQuantile(retryHints, 0.95);
+    const double retryP99 = exactQuantile(retryHints, 0.99);
     const ServiceCounters c =
         router ? router->totals() : single->counters();
     const double jobsPerSec =
@@ -335,9 +349,8 @@ main(int argc, char **argv)
     std::printf("jobs per second     %10.2f\n", jobsPerSec);
 
     bench::heading("virtual service latency (seconds)");
-    std::printf("p50  %10.2f\np95  %10.2f\np99  %10.2f\n",
-                lat.p50() * 3600.0, lat.p95() * 3600.0,
-                lat.p99() * 3600.0);
+    std::printf("p50  %10.2f\np95  %10.2f\np99  %10.2f\n", latP50,
+                latP95, latP99);
 
     bench::heading("service counters");
     std::printf("admitted %llu  coalesced %llu  cache hits %llu "
@@ -391,8 +404,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(c.rejectedBadRequest));
     std::printf("tenant back-offs %llu  retry-after p50 %.1f s  "
                 "p95 %.1f s\n",
-                static_cast<unsigned long long>(backedOff),
-                retry.p50(), retry.p95());
+                static_cast<unsigned long long>(backedOff), retryP50,
+                retryP95);
 
     if (router) {
         const RouterCounters &rc = router->counters();
@@ -485,8 +498,7 @@ main(int argc, char **argv)
                       : static_cast<int>(opts.admission.maxQueueDepth),
             ttlH, fail ? "true" : "false",
             static_cast<unsigned long long>(completed), wallS,
-            jobsPerSec, lat.p50() * 3600.0, lat.p95() * 3600.0,
-            lat.p99() * 3600.0,
+            jobsPerSec, latP50, latP95, latP99,
             static_cast<unsigned long long>(c.jobsAdmitted),
             static_cast<unsigned long long>(c.jobsCoalesced),
             static_cast<unsigned long long>(c.cacheHits), cacheHitRate,
@@ -494,8 +506,8 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(c.rejectedQueueFull),
             static_cast<unsigned long long>(c.rejectedTenantQuota),
             static_cast<unsigned long long>(c.rejectedBadRequest),
-            static_cast<unsigned long long>(backedOff), retry.p50(),
-            retry.p95(), retry.p99(),
+            static_cast<unsigned long long>(backedOff), retryP50,
+            retryP95, retryP99,
             static_cast<unsigned long long>(c.workItems),
             static_cast<unsigned long long>(c.shardsExecuted),
             static_cast<unsigned long long>(c.shardsRequeued),

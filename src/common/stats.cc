@@ -2,109 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
-#include "common/rng.h"
 
 namespace eqc {
-
-namespace stats {
-
-Percentiles::Percentiles(std::size_t capacity, uint64_t seed)
-    : capacity_(std::max<std::size_t>(capacity, 1)),
-      rngState_(splitmix64(seed))
-{
-    sample_.reserve(capacity_);
-}
-
-void
-Percentiles::add(double x)
-{
-    ++n_;
-    if (sample_.size() < capacity_) {
-        sample_.push_back(x);
-        return;
-    }
-    // Algorithm R: replace a uniformly random slot with probability
-    // capacity / n, keeping the reservoir a uniform sample.
-    rngState_ = splitmix64(rngState_);
-    std::size_t j = static_cast<std::size_t>(rngState_ % n_);
-    if (j < capacity_)
-        sample_[j] = x;
-}
-
-void
-Percentiles::merge(const Percentiles &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (sample_.size() + other.sample_.size() <= capacity_) {
-        sample_.insert(sample_.end(), other.sample_.begin(),
-                       other.sample_.end());
-        n_ += other.n_;
-        return;
-    }
-    // Weighted draw without replacement: each reservoir slot stands
-    // for count()/sampleSize() observations of its own stream, so a
-    // side is picked with probability proportional to the stream mass
-    // its unconsumed slots still represent.
-    std::vector<double> a = std::move(sample_);
-    std::vector<double> b = other.sample_;
-    const double wa =
-        a.empty() ? 0.0
-                  : static_cast<double>(n_) / static_cast<double>(a.size());
-    const double wb =
-        static_cast<double>(other.n_) / static_cast<double>(b.size());
-    double remA = wa * static_cast<double>(a.size());
-    double remB = wb * static_cast<double>(b.size());
-    std::size_t ia = 0, ib = 0; // consumed prefixes (after swaps)
-    sample_.clear();
-    while (sample_.size() < capacity_ &&
-           (ia < a.size() || ib < b.size())) {
-        rngState_ = splitmix64(rngState_);
-        const double u =
-            static_cast<double>(rngState_ >> 11) * 0x1.0p-53;
-        std::vector<double> *side;
-        std::size_t *idx;
-        if (ib >= b.size() ||
-            (ia < a.size() && u * (remA + remB) < remA)) {
-            side = &a;
-            idx = &ia;
-            remA -= wa;
-        } else {
-            side = &b;
-            idx = &ib;
-            remB -= wb;
-        }
-        // Uniform unconsumed slot of the chosen side, so the kept
-        // subset is order-free within each reservoir.
-        rngState_ = splitmix64(rngState_);
-        const std::size_t j =
-            *idx + static_cast<std::size_t>(
-                       rngState_ % (side->size() - *idx));
-        std::swap((*side)[*idx], (*side)[j]);
-        sample_.push_back((*side)[(*idx)++]);
-    }
-    n_ += other.n_;
-}
-
-double
-Percentiles::quantile(double q) const
-{
-    if (sample_.empty())
-        return 0.0;
-    std::vector<double> sorted(sample_);
-    std::sort(sorted.begin(), sorted.end());
-    q = std::min(std::max(q, 0.0), 1.0);
-    double pos = q * static_cast<double>(sorted.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(pos);
-    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-} // namespace stats
 
 void
 RunningStats::add(double x)
@@ -157,6 +58,19 @@ stddev(const std::vector<double> &xs)
     for (double x : xs)
         s += (x - m) * (x - m);
     return std::sqrt(s / static_cast<double>(xs.size() - 1));
+}
+
+double
+exactQuantile(const std::vector<double> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0.0;
+    q = std::min(std::max(q, 0.0), 1.0);
+    double pos = q * static_cast<double>(sorted.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(pos);
+    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double

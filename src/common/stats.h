@@ -1,15 +1,15 @@
 /**
  * @file
- * Small statistics toolkit: running moments, Pearson correlation and
- * ordinary-least-squares linear regression (used to reproduce the Fig. 4
- * model-validation numbers: R^2, Pearson r, fitted line).
+ * Small statistics toolkit: running moments, exact quantiles, Pearson
+ * correlation and ordinary-least-squares linear regression (used to
+ * reproduce the Fig. 4 model-validation numbers: R^2, Pearson r,
+ * fitted line).
  */
 
 #ifndef EQC_COMMON_STATS_H
 #define EQC_COMMON_STATS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace eqc {
@@ -47,79 +47,6 @@ class RunningStats
     double max_ = 0.0;
 };
 
-namespace stats {
-
-/**
- * Streaming quantile estimator over a bounded reservoir.
- *
- * Holds every observation exactly while count() <= capacity; beyond
- * that, switches to Vitter's Algorithm R so the reservoir stays a
- * uniform sample of the full stream with O(capacity) memory — the
- * shape a long-lived service needs for latency percentiles. The
- * replacement stream is seeded at construction, so identical
- * observation sequences produce identical quantiles.
- */
-class Percentiles
-{
-  public:
-    /**
-     * @param capacity reservoir size (clamped to >= 1); quantiles are
-     *        exact up to this many observations
-     * @param seed stream for the replacement draws past capacity
-     */
-    explicit Percentiles(std::size_t capacity = 4096,
-                         uint64_t seed = 0x5157ECULL);
-
-    /** Record one observation. */
-    void add(double x);
-
-    /**
-     * Fold @p other's reservoir into this one, as if this estimator
-     * had also watched (a uniform sample of) the other's stream.
-     * While the combined reservoirs fit in capacity the merge is an
-     * exact concatenation; past capacity it draws without replacement
-     * from the union, each side weighted by its true stream count, so
-     * the kept sample stays representative of the combined stream.
-     * Draws come from this reservoir's own deterministic replacement
-     * stream: merging the same reservoirs in the same order always
-     * yields the same quantiles. count() becomes the sum of both
-     * stream counts. Aggregation tiers (Router::latencyStats) use
-     * this instead of re-sampling per-node observations, which would
-     * bias quantiles toward double-counted values.
-     */
-    void merge(const Percentiles &other);
-
-    /** Total observations seen (reservoir may hold fewer). */
-    std::size_t count() const { return n_; }
-
-    /** Observations currently in the reservoir. */
-    std::size_t sampleSize() const { return sample_.size(); }
-
-    /**
-     * Quantile @p q in [0, 1] with linear interpolation between order
-     * statistics of the reservoir (0 when empty). q = 0 / 1 give the
-     * reservoir min / max.
-     */
-    double quantile(double q) const;
-
-    /** Median. */
-    double p50() const { return quantile(0.50); }
-
-    /** 95th percentile. */
-    double p95() const { return quantile(0.95); }
-
-    /** 99th percentile. */
-    double p99() const { return quantile(0.99); }
-
-  private:
-    std::size_t capacity_;
-    std::size_t n_ = 0;
-    uint64_t rngState_;
-    std::vector<double> sample_;
-};
-
-} // namespace stats
-
 /** Result of an ordinary-least-squares fit y = slope * x + intercept. */
 struct LinearFit
 {
@@ -134,6 +61,13 @@ double mean(const std::vector<double> &xs);
 
 /** Unbiased sample standard deviation (0 with <2 elements). */
 double stddev(const std::vector<double> &xs);
+
+/**
+ * Quantile @p q in [0, 1] of the ascending-sorted @p sorted, linearly
+ * interpolated between order statistics: q = 0 / 1 give the min / max,
+ * and an empty input gives 0.
+ */
+double exactQuantile(const std::vector<double> &sorted, double q);
 
 /**
  * Pearson correlation coefficient between two equal-length series.

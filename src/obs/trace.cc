@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/stats.h"
+
 namespace eqc {
 namespace obs {
 
@@ -413,20 +415,6 @@ chromeTrace(const TraceBuilder &b)
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/** Exact quantile with the same interpolation as stats::Percentiles. */
-double
-exactQuantile(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    q = std::min(std::max(q, 0.0), 1.0);
-    double pos = q * static_cast<double>(sorted.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(pos);
-    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 StageBreakdown
 stageRow(const char *stage, std::vector<double> xs, double totalSum)

@@ -275,17 +275,17 @@ InvariantChecker::check(const EventJournal &journal)
             break;
         }
         case EventKind::CacheHit:
-            if (cfg.cacheTtlH <= 0.0)
+            if (cfg.options.resultCacheTtlH <= 0.0)
                 flag(v, "cache-freshness",
                      "cache hit recorded with reuse disabled "
                      "(ttl <= 0)");
-            else if (r.tH - r.storedAtH > cfg.cacheTtlH)
+            else if (r.tH - r.storedAtH > cfg.options.resultCacheTtlH)
                 flag(v, "cache-freshness",
                      "work " + std::to_string(r.workUid) +
                          " served an entry aged " +
                          std::to_string(r.tH - r.storedAtH) +
                          "h against a TTL of " +
-                         std::to_string(cfg.cacheTtlH) + "h");
+                         std::to_string(cfg.options.resultCacheTtlH) + "h");
             if (r.servedShots < r.shots)
                 flag(v, "cache-freshness",
                      "work " + std::to_string(r.workUid) +
@@ -398,8 +398,7 @@ InvariantChecker::check(const EventJournal &journal)
     auto modeFor = [&](uint64_t uid) {
         return shedRecs.count(uid)
                    ? serve::AggregationMode::EquiWeighted
-                   : static_cast<serve::AggregationMode>(
-                         cfg.aggregation);
+                   : cfg.options.aggregation;
     };
     serve::Aggregator agg(modeFor(0));
     auto finishUid = [&](uint64_t uid, serve::Aggregator &a) {
@@ -789,9 +788,10 @@ ChaosEngine::run(TaskPool *pool)
     SteadyClock steady(o.timescaleS);
     serve::ServiceNode node(devices, so,
                             o.steadyClock ? &steady : nullptr);
-    journal_.config = describeNode(
-        so, specs,
-        {{"heisenberg_vqe", 7}, {"ring_maxcut_qaoa", 7}});
+    journal_.config.options = so;
+    journal_.config.devices = specs;
+    journal_.config.workloads = {{"heisenberg_vqe", 7},
+                                 {"ring_maxcut_qaoa", 7}};
     if (o.steadyClock)
         journal_.config.clock = "steady";
     node.setJournalSink(&journal_);
@@ -985,7 +985,6 @@ ChaosEngine::runRouted(TaskPool *pool)
     so.aggregation = modes[o.seed % 3];
 
     serve::RouterOptions ro;
-    ro.seed = splitmix64(o.seed ^ 0x526F7574ull);
     serve::Router router(ro);
     std::vector<DeviceSpec> specs;
     for (int n = 0; n < N; ++n) {
@@ -1010,9 +1009,10 @@ ChaosEngine::runRouted(TaskPool *pool)
         router.addNode(std::move(devices), so);
     }
 
-    journal_.config = describeNode(
-        so, specs,
-        {{"heisenberg_vqe", 7}, {"ring_maxcut_qaoa", 7}});
+    journal_.config.options = so;
+    journal_.config.devices = specs;
+    journal_.config.workloads = {{"heisenberg_vqe", 7},
+                                 {"ring_maxcut_qaoa", 7}};
     journal_.config.nodes = N;
     journal_.config.virtualNodes = ro.virtualNodes;
     journal_.config.forwardHops = ro.forwardHops;

@@ -287,30 +287,30 @@ EventJournal::serialize() const
     out.reserve(128 + records_.size() * 96);
 
     const JournalConfig &c = config;
+    const serve::ServiceOptions &o = c.options;
     out += '{';
     putS(out, "k", "config");
     putI(out, "version", c.version);
     putS(out, "clock", c.clock);
-    putU(out, "seed", c.seed);
-    putD(out, "ttlH", c.cacheTtlH);
-    putU(out, "cacheCap", c.cacheCapacity);
-    putU(out, "queueDepth", c.maxQueueDepth);
-    putI(out, "tenantQuota", c.maxQueuedPerTenant);
-    putI(out, "maxShots", c.maxShotsPerJob);
-    putI(out, "minShard", c.minShardShots);
-    putD(out, "minLatS", c.minLatencyS);
-    putD(out, "warmBoost", c.warmBoost);
-    putI(out, "agg", c.aggregation);
-    putI(out, "shotMode", c.shotMode);
-    putI(out, "pcMode", c.pCorrectMode);
-    putB(out, "mitig", c.readoutMitigation);
-    putI(out, "requeueRounds", c.maxRequeueRounds);
-    putU(out, "reservoir", c.latencyReservoir);
-    putD(out, "parkRetryH", c.parkRetryH);
-    putD(out, "supBase", c.superviseBaseBackoffH);
-    putD(out, "supMax", c.superviseMaxBackoffH);
-    putD(out, "coldPenalty", c.coldStartPenalty);
-    putD(out, "coldH", c.coldStartH);
+    putU(out, "seed", o.seed);
+    putD(out, "ttlH", o.resultCacheTtlH);
+    putU(out, "cacheCap", o.resultCacheCapacity);
+    putU(out, "queueDepth", o.admission.maxQueueDepth);
+    putI(out, "tenantQuota", o.admission.maxQueuedPerTenant);
+    putI(out, "maxShots", o.admission.maxShotsPerJob);
+    putI(out, "minShard", o.scheduler.minShardShots);
+    putD(out, "minLatS", o.scheduler.minLatencyS);
+    putD(out, "warmBoost", o.scheduler.warmBoost);
+    putI(out, "agg", static_cast<int>(o.aggregation));
+    putI(out, "shotMode", static_cast<int>(o.shotMode));
+    putI(out, "pcMode", static_cast<int>(o.pCorrectMode));
+    putB(out, "mitig", o.readoutMitigation);
+    putI(out, "requeueRounds", o.maxRequeueRounds);
+    putD(out, "parkRetryH", o.retryUnplannableH);
+    putD(out, "supBase", o.superviseBaseBackoffH);
+    putD(out, "supMax", o.superviseMaxBackoffH);
+    putD(out, "coldPenalty", o.scheduler.coldStartPenalty);
+    putD(out, "coldH", o.scheduler.coldStartH);
     putU(out, "catalogSeed", c.catalogSeed);
     if (c.nodes != 1) {
         putI(out, "nodes", c.nodes);
@@ -582,32 +582,38 @@ EventJournal::parse(const std::string &text, std::string *err)
         }
         const std::string k = getS(m, "k");
         if (k == "config") {
+            // Older journals also carry "reservoir" (the size of a
+            // deleted latency estimator); it is ignored.
             JournalConfig &c = j.config;
+            serve::ServiceOptions &o = c.options;
             c.version = static_cast<int>(getI(m, "version", 1));
             c.clock = getS(m, "clock");
-            c.seed = getU(m, "seed", 1);
-            c.cacheTtlH = getD(m, "ttlH");
-            c.cacheCapacity = getU(m, "cacheCap", 256);
-            c.maxQueueDepth = getU(m, "queueDepth", 1024);
-            c.maxQueuedPerTenant =
+            o.seed = getU(m, "seed", 1);
+            o.resultCacheTtlH = getD(m, "ttlH");
+            o.resultCacheCapacity =
+                static_cast<std::size_t>(getU(m, "cacheCap", 256));
+            o.admission.maxQueueDepth =
+                static_cast<std::size_t>(getU(m, "queueDepth", 1024));
+            o.admission.maxQueuedPerTenant =
                 static_cast<int>(getI(m, "tenantQuota", 64));
-            c.maxShotsPerJob =
+            o.admission.maxShotsPerJob =
                 static_cast<int>(getI(m, "maxShots", 1 << 20));
-            c.minShardShots = static_cast<int>(getI(m, "minShard", 64));
-            c.minLatencyS = getD(m, "minLatS", 1.0);
-            c.warmBoost = getD(m, "warmBoost", 1.25);
-            c.aggregation = static_cast<int>(getI(m, "agg"));
-            c.shotMode = static_cast<int>(getI(m, "shotMode", 2));
-            c.pCorrectMode = static_cast<int>(getI(m, "pcMode"));
-            c.readoutMitigation = getB(m, "mitig", true);
-            c.maxRequeueRounds =
+            o.scheduler.minShardShots =
+                static_cast<int>(getI(m, "minShard", 64));
+            o.scheduler.minLatencyS = getD(m, "minLatS", 1.0);
+            o.scheduler.warmBoost = getD(m, "warmBoost", 1.25);
+            o.aggregation =
+                static_cast<serve::AggregationMode>(getI(m, "agg"));
+            o.shotMode = static_cast<ShotMode>(getI(m, "shotMode", 2));
+            o.pCorrectMode = static_cast<PCorrectMode>(getI(m, "pcMode"));
+            o.readoutMitigation = getB(m, "mitig", true);
+            o.maxRequeueRounds =
                 static_cast<int>(getI(m, "requeueRounds", 4));
-            c.latencyReservoir = getU(m, "reservoir", 4096);
-            c.parkRetryH = getD(m, "parkRetryH");
-            c.superviseBaseBackoffH = getD(m, "supBase");
-            c.superviseMaxBackoffH = getD(m, "supMax", 2.0);
-            c.coldStartPenalty = getD(m, "coldPenalty", 0.35);
-            c.coldStartH = getD(m, "coldH", 0.25);
+            o.retryUnplannableH = getD(m, "parkRetryH");
+            o.superviseBaseBackoffH = getD(m, "supBase");
+            o.superviseMaxBackoffH = getD(m, "supMax", 2.0);
+            o.scheduler.coldStartPenalty = getD(m, "coldPenalty", 0.35);
+            o.scheduler.coldStartH = getD(m, "coldH", 0.25);
             c.catalogSeed = getU(m, "catalogSeed", 2022);
             c.nodes = static_cast<int>(getI(m, "nodes", 1));
             c.virtualNodes = static_cast<int>(getI(m, "vnodes", 64));

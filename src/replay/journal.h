@@ -25,9 +25,11 @@
  *    results (replay::Replayer) and any failing chaos seed
  *    reproduces from its journal artifact alone.
  *
- * This header depends only on the standard library: the serve layer
- * includes it to publish records, and the replay layer's heavier
- * pieces (Replayer, ChaosEngine, InvariantChecker) sit on top.
+ * The config holds the node's serve::ServiceOptions itself, so this
+ * header includes serve/service_node.h (which only forward-declares
+ * JournalSink); the serve layer's .cc files include it to publish
+ * records, and the replay layer's heavier pieces (Replayer,
+ * ChaosEngine, InvariantChecker) sit on top.
  */
 
 #ifndef EQC_REPLAY_JOURNAL_H
@@ -37,6 +39,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "serve/service_node.h"
 
 namespace eqc {
 namespace replay {
@@ -215,43 +219,21 @@ struct WorkloadSpec
 };
 
 /**
- * Everything needed to rebuild the recorded node: replayer-side
- * mirror of serve::ServiceOptions (enums as ints; see
- * replay::optionsFor) plus the device and workload lineup.
+ * Everything needed to rebuild the recorded node: its options, the
+ * device and workload lineup, and (routed journals) the router's
+ * shape.
  */
 struct JournalConfig
 {
     int version = 1;
     /** "virtual" or "steady" — bit-replay is meaningful for virtual. */
     std::string clock = "virtual";
-    uint64_t seed = 1;
-    double cacheTtlH = 0.0;
-    uint64_t cacheCapacity = 256;
-    uint64_t maxQueueDepth = 1024;
-    int maxQueuedPerTenant = 64;
-    int maxShotsPerJob = 1 << 20;
-    int minShardShots = 64;
-    double minLatencyS = 1.0;
-    double warmBoost = 1.25;
-    /** serve::AggregationMode as int. */
-    int aggregation = 0;
-    /** ShotMode as int (Gaussian = 2). */
-    int shotMode = 2;
-    /** PCorrectMode as int. */
-    int pCorrectMode = 0;
-    bool readoutMitigation = true;
-    int maxRequeueRounds = 4;
-    uint64_t latencyReservoir = 4096;
-    /** Park-and-retry interval for unplannable items (0 = legacy). */
-    double parkRetryH = 0.0;
-    /** Supervised-restore base backoff hours (0 = supervision off). */
-    double superviseBaseBackoffH = 0.0;
-    /** Supervised-restore backoff cap in hours. */
-    double superviseMaxBackoffH = 2.0;
-    /** Cold-start weight floor for freshly joined members. */
-    double coldStartPenalty = 0.35;
-    /** Hours over which a joined member warms to full weight. */
-    double coldStartH = 0.25;
+    /**
+     * The recorded node's options; routed journals give every node the
+     * same ones. firstJobId/firstWorkUid are not serialized (a Router
+     * assigns them).
+     */
+    serve::ServiceOptions options;
     /** Seed the device catalog was built with. */
     uint64_t catalogSeed = 2022;
     /**

@@ -4,52 +4,23 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "core/weighting.h"
 #include "serve/router.h"
-#include "vqa/expectation.h"
 
 namespace eqc {
 namespace replay {
 
 // ---------------------------------------------------------------------------
-// Config <-> serve bridges
+// Config builders
 // ---------------------------------------------------------------------------
 
-serve::ServiceOptions
-optionsFor(const JournalConfig &c)
-{
-    serve::ServiceOptions o;
-    o.admission.maxQueueDepth =
-        static_cast<std::size_t>(c.maxQueueDepth);
-    o.admission.maxQueuedPerTenant = c.maxQueuedPerTenant;
-    o.admission.maxShotsPerJob = c.maxShotsPerJob;
-    o.scheduler.minShardShots = c.minShardShots;
-    o.scheduler.minLatencyS = c.minLatencyS;
-    o.scheduler.warmBoost = c.warmBoost;
-    o.scheduler.coldStartPenalty = c.coldStartPenalty;
-    o.scheduler.coldStartH = c.coldStartH;
-    o.retryUnplannableH = c.parkRetryH;
-    o.superviseBaseBackoffH = c.superviseBaseBackoffH;
-    o.superviseMaxBackoffH = c.superviseMaxBackoffH;
-    o.aggregation = static_cast<serve::AggregationMode>(c.aggregation);
-    o.shotMode = static_cast<ShotMode>(c.shotMode);
-    o.pCorrectMode = static_cast<PCorrectMode>(c.pCorrectMode);
-    o.readoutMitigation = c.readoutMitigation;
-    o.maxRequeueRounds = c.maxRequeueRounds;
-    o.resultCacheTtlH = c.cacheTtlH;
-    o.resultCacheCapacity =
-        static_cast<std::size_t>(c.cacheCapacity);
-    o.latencyReservoir = static_cast<std::size_t>(c.latencyReservoir);
-    o.seed = c.seed;
-    return o;
-}
-
 std::vector<Device>
-devicesFor(const JournalConfig &c)
+devicesFor(const JournalConfig &c, int node)
 {
     std::vector<Device> devices;
     devices.reserve(c.devices.size());
     for (const DeviceSpec &spec : c.devices) {
+        if (node >= 0 && spec.node != node)
+            continue;
         Device dev = deviceByName(spec.name, c.catalogSeed);
         if (spec.spikeRatePerHour >= 0.0 || spec.spikeSeverity >= 0.0)
             dev.drift = dev.drift.spiked(spec.spikeRatePerHour,
@@ -57,38 +28,6 @@ devicesFor(const JournalConfig &c)
         devices.push_back(std::move(dev));
     }
     return devices;
-}
-
-JournalConfig
-describeNode(const serve::ServiceOptions &o,
-             std::vector<DeviceSpec> devices,
-             std::vector<WorkloadSpec> workloads)
-{
-    JournalConfig c;
-    c.clock = "virtual";
-    c.seed = o.seed;
-    c.cacheTtlH = o.resultCacheTtlH;
-    c.cacheCapacity = o.resultCacheCapacity;
-    c.maxQueueDepth = o.admission.maxQueueDepth;
-    c.maxQueuedPerTenant = o.admission.maxQueuedPerTenant;
-    c.maxShotsPerJob = o.admission.maxShotsPerJob;
-    c.minShardShots = o.scheduler.minShardShots;
-    c.minLatencyS = o.scheduler.minLatencyS;
-    c.warmBoost = o.scheduler.warmBoost;
-    c.coldStartPenalty = o.scheduler.coldStartPenalty;
-    c.coldStartH = o.scheduler.coldStartH;
-    c.parkRetryH = o.retryUnplannableH;
-    c.superviseBaseBackoffH = o.superviseBaseBackoffH;
-    c.superviseMaxBackoffH = o.superviseMaxBackoffH;
-    c.aggregation = static_cast<int>(o.aggregation);
-    c.shotMode = static_cast<int>(o.shotMode);
-    c.pCorrectMode = static_cast<int>(o.pCorrectMode);
-    c.readoutMitigation = o.readoutMitigation;
-    c.maxRequeueRounds = o.maxRequeueRounds;
-    c.latencyReservoir = o.latencyReservoir;
-    c.devices = std::move(devices);
-    c.workloads = std::move(workloads);
-    return c;
 }
 
 VqaProblem
@@ -201,8 +140,6 @@ replayRouted(const EventJournal &journal, TaskPool *pool)
     ReplayResult res;
     const JournalConfig &c = journal.config;
 
-    std::vector<std::vector<DeviceSpec>> byNode(
-        static_cast<std::size_t>(c.nodes));
     for (const DeviceSpec &spec : c.devices) {
         if (spec.node < 0 || spec.node >= c.nodes) {
             res.mismatches.push_back(
@@ -211,33 +148,21 @@ replayRouted(const EventJournal &journal, TaskPool *pool)
                 std::to_string(c.nodes));
             return res;
         }
-        byNode[static_cast<std::size_t>(spec.node)].push_back(spec);
     }
 
     serve::RouterOptions ro;
     ro.virtualNodes = c.virtualNodes;
     ro.forwardHops = c.forwardHops;
-    ro.seed = c.seed;
     serve::Router router(ro);
     for (int n = 0; n < c.nodes; ++n) {
-        const auto &specs = byNode[static_cast<std::size_t>(n)];
-        if (specs.empty()) {
+        std::vector<Device> devices = devicesFor(c, n);
+        if (devices.empty()) {
             res.mismatches.push_back(
                 "journal config lists no devices for node " +
                 std::to_string(n));
             return res;
         }
-        std::vector<Device> devices;
-        devices.reserve(specs.size());
-        for (const DeviceSpec &spec : specs) {
-            Device dev = deviceByName(spec.name, c.catalogSeed);
-            if (spec.spikeRatePerHour >= 0.0 ||
-                spec.spikeSeverity >= 0.0)
-                dev.drift = dev.drift.spiked(spec.spikeRatePerHour,
-                                             spec.spikeSeverity);
-            devices.push_back(std::move(dev));
-        }
-        router.addNode(std::move(devices), optionsFor(c));
+        router.addNode(std::move(devices), c.options);
     }
     for (const WorkloadSpec &w : c.workloads) {
         VqaProblem p = problemByName(w.problem, w.initSeed);
@@ -364,7 +289,7 @@ Replayer::run(TaskPool *pool) const
     if (c.nodes > 1)
         return replayRouted(journal_, pool);
 
-    serve::ServiceNode node(devicesFor(c), optionsFor(c));
+    serve::ServiceNode node(devicesFor(c), c.options);
     for (const WorkloadSpec &w : c.workloads) {
         VqaProblem p = problemByName(w.problem, w.initSeed);
         node.registerWorkload(p.ansatz, p.hamiltonian);

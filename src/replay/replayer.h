@@ -15,9 +15,10 @@
  * That turns any production incident or failing chaos seed into a
  * local repro: feed the journal artifact to the Replayer and the full
  * lifecycle (coalescing, cache hits, kills, requeues) re-executes
- * identically. This file also hosts the config<->serve bridges
- * (optionsFor / devicesFor / describeNode / problemByName) so
- * journal.h itself stays free of serve/device dependencies.
+ * identically. This file also hosts the builders that turn a
+ * journal config's names back into objects (devicesFor /
+ * problemByName), so journal.h stays free of catalog and problem
+ * dependencies.
  */
 
 #ifndef EQC_REPLAY_REPLAYER_H
@@ -38,19 +39,14 @@ class TaskPool;
 
 namespace replay {
 
-/** serve::ServiceOptions encoded by @p config (enums from ints). */
-serve::ServiceOptions optionsFor(const JournalConfig &config);
-
 /**
  * Rebuild the recorded ensemble: catalog lookup by name at the
  * journal's catalog seed, chaos drift-spike overrides re-applied.
+ * @param node only the members of this node (routed journals); -1
+ *        keeps every member
  */
-std::vector<Device> devicesFor(const JournalConfig &config);
-
-/** Inverse bridge: describe a node-to-be for journaling. */
-JournalConfig describeNode(const serve::ServiceOptions &options,
-                           std::vector<DeviceSpec> devices,
-                           std::vector<WorkloadSpec> workloads);
+std::vector<Device> devicesFor(const JournalConfig &config,
+                               int node = -1);
 
 /** Problem-factory registry for WorkloadSpec names; fatals unknown. */
 VqaProblem problemByName(const std::string &name, uint64_t initSeed);

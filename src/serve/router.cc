@@ -394,17 +394,6 @@ Router::counters() const
     return c;
 }
 
-stats::Percentiles
-Router::latencyStats() const
-{
-    stats::Percentiles merged(
-        options_.latencyReservoir,
-        splitmix64(options_.seed ^ 0x526F757465724Cull));
-    for (const NodeSlot &s : nodes_)
-        merged.merge(s.node->latencyStats());
-    return merged;
-}
-
 obs::Snapshot
 Router::metricsSnapshot() const
 {
@@ -445,16 +434,6 @@ Router::totals() const
         t.supervisedRestores += c.supervisedRestores;
     }
     return t;
-}
-
-double
-Router::cacheHitRate() const
-{
-    const ServiceCounters t = totals();
-    return t.jobsAdmitted == 0
-               ? 0.0
-               : static_cast<double>(t.cacheHits) /
-                     static_cast<double>(t.jobsAdmitted);
 }
 
 std::vector<uint64_t>

@@ -64,9 +64,12 @@ struct RouterOptions
      * sink is attached — journaled runs drain inline, in node order.
      */
     bool threadedDrain = false;
-    /** Reservoir of the router-level latency percentile estimator. */
-    std::size_t latencyReservoir = 4096;
-    /** Seed of the router's own stochastic streams (reservoirs). */
+    /**
+     * Unread: the router draws no randomness of its own (each node
+     * seeds itself from ServiceOptions::seed). It stays only because
+     * the frozen benchmark workloads (bench/e2e/workloads.cc) set it;
+     * delete it with the next change to the benchmark.
+     */
     uint64_t seed = 1;
 };
 
@@ -215,24 +218,15 @@ class Router
     /**
      * One fleet-wide scrape: the router registry plus every node's,
      * each node's samples labelled `node="i"`. Feed to
-     * obs::toPrometheus / obs::toJson / obs::diff.
+     * obs::toPrometheus / obs::toJson / obs::diff. This is the fleet's
+     * latency view too: every outcome lands in exactly one node's
+     * `eqc_service_latency_hours`, so summing the node series counts
+     * each job once.
      */
     obs::Snapshot metricsSnapshot() const;
 
     /** Fleet-wide sums of every node's ServiceCounters. */
     ServiceCounters totals() const;
-
-    /** Cache hits / admitted jobs across the fleet (0 when idle). */
-    double cacheHitRate() const;
-
-    /**
-     * Router-level per-job latency percentiles: a deterministic
-     * Percentiles::merge over every node's reservoir. Aggregating the
-     * node estimators (instead of re-sampling each outcome at the
-     * router) keeps fleet quantiles unbiased — no observation is
-     * counted at two tiers.
-     */
-    stats::Percentiles latencyStats() const;
 
     /** Shots executed per node (placement telemetry). */
     std::vector<uint64_t> nodeShotTotals() const;

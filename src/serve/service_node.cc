@@ -160,8 +160,6 @@ ServiceNode::ServiceNode(std::vector<Device> devices,
       cache_(clock_, options.resultCacheTtlH,
              options.resultCacheCapacity),
       rootRng_(Rng(options.seed).fork("serve")),
-      latency_(options.latencyReservoir, options.seed),
-      retryAfter_(options.latencyReservoir, options.seed + 1),
       counters_(makeCounters(metrics_)), ins_(makeInstruments(metrics_))
 {
     if (devices.empty())
@@ -424,7 +422,6 @@ ServiceNode::submit(const JobRequest &request)
             else
                 ++counters_.rejectedTenantQuota;
             t.retryAfterS = retryAfterHintS(atH, queue_.size());
-            retryAfter_.add(t.retryAfterS);
             ins_.retryAfterS->observe(t.retryAfterS);
         }
     }
@@ -605,14 +602,6 @@ ServiceNode::workloadPCorrect(const Workload &w, std::size_t member,
     for (const CircuitQuality &q : w.quality[member])
         sum += pCorrect(q, reported, options_.pCorrectMode);
     return sum / static_cast<double>(w.quality[member].size());
-}
-
-double
-ServiceNode::memberPCorrect(std::size_t member, WorkloadId workload,
-                            double atH) const
-{
-    (void)members_.at(member); // public entry: bounds-check the index
-    return workloadPCorrect(*workloads_.at(workload), member, atH);
 }
 
 // ---------------------------------------------------------------------------
@@ -1274,7 +1263,6 @@ ServiceNode::finalizeItem(WorkItem &item)
         o.deadlineH = rider.request.deadlineH;
         o.shedShots = item.shedShots;
         o.shed = item.shed;
-        latency_.add(o.latencyH);
         ins_.latencyH->observe(o.latencyH);
         // The rider's SLO resolves here, exactly once: met if the item
         // was not shed, shed otherwise. Cancel the pending deadline

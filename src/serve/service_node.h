@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "common/event_loop.h"
-#include "common/stats.h"
 #include "core/weighting.h"
 #include "device/backend.h"
 #include "obs/metrics.h"
@@ -106,8 +105,6 @@ struct ServiceOptions
     double superviseBaseBackoffH = 0.0;
     /** Cap of the supervised-restore backoff (hours). */
     double superviseMaxBackoffH = 2.0;
-    /** Reservoir size of the latency percentile estimator. */
-    std::size_t latencyReservoir = 4096;
     /** Root seed; every stochastic stream forks from it by label. */
     uint64_t seed = 1;
     /**
@@ -282,21 +279,8 @@ class ServiceNode
 
     const Device &memberDevice(std::size_t member) const;
 
-    /** Eq. 2 score of a member for a workload at hour @p atH. */
-    double memberPCorrect(std::size_t member, WorkloadId workload,
-                          double atH) const;
-
     /** Jobs admitted but not yet taken into a work item. */
     std::size_t pendingJobs() const { return queue_.size(); }
-
-    /** Per-job service latency percentiles (serving-clock hours). */
-    const stats::Percentiles &latencyStats() const { return latency_; }
-
-    /** Distribution of retry-after hints handed to rejected jobs. */
-    const stats::Percentiles &retryAfterStats() const
-    {
-        return retryAfter_;
-    }
 
     /** Shots executed per member (cache-aware placement telemetry). */
     const std::vector<uint64_t> &memberShotCounts() const
@@ -321,8 +305,14 @@ class ServiceNode
 
     /**
      * The node's metrics registry: every lifecycle counter above plus
-     * latency/queue-wait/retry-after histograms and live load gauges,
-     * ready for obs::toPrometheus / obs::toJson exposition.
+     * live load gauges and three histograms, ready for
+     * obs::toPrometheus / obs::toJson exposition. The histograms are
+     * the node's only streaming latency telemetry:
+     * `eqc_service_latency_hours` observes every outcome's latency,
+     * `eqc_service_retry_after_seconds` every capacity rejection's
+     * hint, and `eqc_service_queue_wait_hours` every executed item's
+     * admit-to-dispatch wait. Exact percentiles come from the outcomes
+     * and tickets themselves (see exactQuantile in common/stats.h).
      */
     obs::MetricsRegistry &metrics() { return metrics_; }
     const obs::MetricsRegistry &metrics() const { return metrics_; }
@@ -479,8 +469,6 @@ class ServiceNode
     Rng rootRng_;
     uint64_t nextJobId_ = 1;
     uint64_t nextWorkId_ = 1;
-    stats::Percentiles latency_;
-    stats::Percentiles retryAfter_;
     std::vector<uint64_t> memberShots_;
     /** Declared before counters_/ins_: they hold handles into it. */
     obs::MetricsRegistry metrics_;

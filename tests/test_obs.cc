@@ -2,10 +2,11 @@
  * @file
  * Observability tests: the lock-free metrics registry (exact totals
  * under thread contention, `le` bucket boundaries, labelled series,
- * exposition formats), the record-stream tracer (span chains that
- * telescope admit->finalize bitwise, byte-identity of a journal with
- * a live collector attached), and the trace_report analysis golden
- * against a committed mini journal.
+ * exposition formats, serving histograms that count each outcome and
+ * each capacity rejection once), the record-stream tracer (span
+ * chains that telescope admit->finalize bitwise, byte-identity of a
+ * journal with a live collector attached), and the trace_report
+ * analysis golden against a committed mini journal.
  */
 
 #include <gtest/gtest.h>
@@ -340,26 +341,100 @@ TEST(Trace, CollectorAttachedJournalIsByteIdentical)
 }
 
 // ---------------------------------------------------------------------------
-// Router latency aggregation is deterministic (merge, not re-sample)
+// Serving histograms count every observation exactly once
 // ---------------------------------------------------------------------------
 
-TEST(Trace, RouterLatencyStatsAreDeterministic)
+/** Count of histogram @p name summed over every labelled sample. */
+uint64_t
+histogramCount(const obs::Snapshot &snap, const std::string &name)
+{
+    uint64_t n = 0;
+    for (const obs::MetricSample &s : snap.samples)
+        if (s.name == name)
+            n += s.count;
+    return n;
+}
+
+/** What a tenant saw over one submit/drain schedule. */
+struct Tally
+{
+    uint64_t outcomes = 0;
+    /** Tickets rejected for capacity (queue full or tenant quota). */
+    uint64_t capacityRejected = 0;
+};
+
+/**
+ * Two rounds of ten submissions from four tenants, then a drain each:
+ * with a one-job tenant quota most rounds draw capacity rejections.
+ * @p front is a ServiceNode or a Router.
+ */
+template <typename Front>
+Tally
+runTightSchedule(Front &front, WorkloadId wl, const VqaProblem &prob)
+{
+    Tally t;
+    Rng rng = Rng(505).fork("tight");
+    for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < 10; ++i) {
+            const Ticket k = front.submit(requestFor(
+                wl, prob, i % 4, 0.05 * (i % 5),
+                64 * rng.uniformInt(1, 3)));
+            if (k.status == AdmitStatus::RejectedQueueFull ||
+                k.status == AdmitStatus::RejectedTenantQuota)
+                ++t.capacityRejected;
+        }
+        t.outcomes += front.drain().size();
+    }
+    return t;
+}
+
+ServiceOptions
+tightOptions()
+{
+    ServiceOptions o = nodeOptions();
+    o.admission.maxQueuedPerTenant = 1;
+    o.admission.maxQueueDepth = 3;
+    return o;
+}
+
+TEST(ServingMetrics, HistogramsCountEachObservationOnce)
 {
     VqaProblem prob = makeHeisenbergVqe(7);
+
+    // One node: one latency observation per drained outcome, one hint
+    // observation per capacity-rejected ticket.
+    ServiceNode node(smallEnsemble(0), tightOptions());
+    const WorkloadId wl =
+        node.registerWorkload(prob.ansatz, prob.hamiltonian);
+    const Tally one = runTightSchedule(node, wl, prob);
+    ASSERT_GT(one.outcomes, 0u);
+    ASSERT_GT(one.capacityRejected, 0u);
+    const obs::Snapshot snap = node.metrics().snapshot();
+    EXPECT_EQ(histogramCount(snap, "eqc_service_latency_hours"),
+              one.outcomes);
+    EXPECT_EQ(histogramCount(snap, "eqc_service_retry_after_seconds"),
+              one.capacityRejected);
+
+    // Three routed nodes: the fleet scrape sums the node series, and
+    // still counts every outcome once. Each node observes the hints it
+    // issued, forwarded hops included, so the fleet count is the sum
+    // of the nodes' capacity rejections; tenants see only the last.
     Router router;
     for (int i = 0; i < 3; ++i)
-        router.addNode(smallEnsemble(i), nodeOptions());
-    const WorkloadId wl =
+        router.addNode(smallEnsemble(i), tightOptions());
+    const WorkloadId rwl =
         router.registerWorkload(prob.ansatz, prob.hamiltonian);
-    runSchedule(router, wl, prob);
-
-    stats::Percentiles a = router.latencyStats();
-    stats::Percentiles b = router.latencyStats();
-    EXPECT_EQ(a.count(), 20u);
-    EXPECT_EQ(a.count(), b.count());
-    for (double q : {0.0, 0.5, 0.95, 0.99, 1.0})
-        EXPECT_TRUE(replay::bitEqual(a.quantile(q), b.quantile(q)))
-            << "latencyStats() is not a pure merge at q=" << q;
+    const Tally fleet = runTightSchedule(router, rwl, prob);
+    const ServiceCounters c = router.totals();
+    ASSERT_GT(fleet.capacityRejected, 0u);
+    EXPECT_EQ(fleet.outcomes, c.jobsAdmitted);
+    const obs::Snapshot all = router.metricsSnapshot();
+    EXPECT_EQ(histogramCount(all, "eqc_service_latency_hours"),
+              fleet.outcomes);
+    const uint64_t hints =
+        histogramCount(all, "eqc_service_retry_after_seconds");
+    EXPECT_EQ(hints, c.rejectedQueueFull + c.rejectedTenantQuota);
+    EXPECT_GE(hints, fleet.capacityRejected);
 }
 
 // ---------------------------------------------------------------------------

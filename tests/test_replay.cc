@@ -46,10 +46,10 @@ TEST(Journal, RoundTripPreservesAdversarialDoubleBits)
     };
 
     EventJournal j;
-    j.config.seed = 0xDEADBEEFCAFEULL;
-    j.config.cacheTtlH = 1.0 / 3.0;
-    j.config.minLatencyS = 5e-324;
-    j.config.warmBoost = 0.1 + 0.2;
+    j.config.options.seed = 0xDEADBEEFCAFEULL;
+    j.config.options.resultCacheTtlH = 1.0 / 3.0;
+    j.config.options.scheduler.minLatencyS = 5e-324;
+    j.config.options.scheduler.warmBoost = 0.1 + 0.2;
     j.config.devices = {
         {"ibmq_lima", 0.30000000000000004, 9.999999999999998},
         {"ibmq_quito", -1.0, -1.0},
@@ -102,10 +102,11 @@ TEST(Journal, RoundTripPreservesAdversarialDoubleBits)
     ASSERT_TRUE(err.empty()) << err;
     ASSERT_EQ(parsed.size(), j.size());
 
-    EXPECT_EQ(parsed.config.seed, j.config.seed);
-    EXPECT_TRUE(bitEqual(parsed.config.cacheTtlH, 1.0 / 3.0));
-    EXPECT_TRUE(bitEqual(parsed.config.minLatencyS, 5e-324));
-    EXPECT_TRUE(bitEqual(parsed.config.warmBoost, 0.1 + 0.2));
+    EXPECT_EQ(parsed.config.options.seed, j.config.options.seed);
+    const serve::ServiceOptions &po = parsed.config.options;
+    EXPECT_TRUE(bitEqual(po.resultCacheTtlH, 1.0 / 3.0));
+    EXPECT_TRUE(bitEqual(po.scheduler.minLatencyS, 5e-324));
+    EXPECT_TRUE(bitEqual(po.scheduler.warmBoost, 0.1 + 0.2));
     ASSERT_EQ(parsed.config.devices.size(), 3u);
     EXPECT_TRUE(bitEqual(parsed.config.devices[0].spikeRatePerHour,
                          0.30000000000000004));
@@ -152,11 +153,11 @@ TEST(Journal, RoundTripPreservesStreamingRecordKinds)
     // late shard resolutions, and a bounded (runUntil) drain.
     EventJournal j;
     j.config.devices = {{"ibmq_lima"}};
-    j.config.parkRetryH = 1.0 / 3.0;
-    j.config.superviseBaseBackoffH = 0.1 + 0.2;
-    j.config.superviseMaxBackoffH = 5e-324;
-    j.config.coldStartPenalty = 0.30000000000000004;
-    j.config.coldStartH = 1.0 / 7.0;
+    j.config.options.retryUnplannableH = 1.0 / 3.0;
+    j.config.options.superviseBaseBackoffH = 0.1 + 0.2;
+    j.config.options.superviseMaxBackoffH = 5e-324;
+    j.config.options.scheduler.coldStartPenalty = 0.30000000000000004;
+    j.config.options.scheduler.coldStartH = 1.0 / 7.0;
 
     EventRecord admit;
     admit.kind = EventKind::Admit;
@@ -227,12 +228,12 @@ TEST(Journal, RoundTripPreservesStreamingRecordKinds)
     ASSERT_TRUE(err.empty()) << err;
     ASSERT_EQ(parsed.size(), j.size());
 
-    EXPECT_TRUE(bitEqual(parsed.config.parkRetryH, 1.0 / 3.0));
+    const serve::ServiceOptions &po = parsed.config.options;
+    EXPECT_TRUE(bitEqual(po.retryUnplannableH, 1.0 / 3.0));
+    EXPECT_TRUE(bitEqual(po.superviseBaseBackoffH, 0.1 + 0.2));
+    EXPECT_TRUE(bitEqual(po.superviseMaxBackoffH, 5e-324));
     EXPECT_TRUE(
-        bitEqual(parsed.config.superviseBaseBackoffH, 0.1 + 0.2));
-    EXPECT_TRUE(bitEqual(parsed.config.superviseMaxBackoffH, 5e-324));
-    EXPECT_TRUE(
-        bitEqual(parsed.config.coldStartPenalty, 0.30000000000000004));
+        bitEqual(po.scheduler.coldStartPenalty, 0.30000000000000004));
 
     const auto &recs = parsed.records();
     EXPECT_TRUE(bitEqual(recs[0].deadlineH, 1.0 / 3.0));
@@ -263,22 +264,22 @@ TEST(Replayer, LiveScenarioReplaysBitIdentical)
 {
     // The full event surface in one run: coalescing pairs, a member
     // killed mid-drain (requeues), then a second drain with a cache
-    // hit and a fresh binding. The node is built through the config
-    // bridges so the replayer reconstructs exactly this node.
+    // hit and a fresh binding. The node is built from the journal
+    // config so the replayer reconstructs exactly this node.
     serve::ServiceOptions o;
     o.seed = 101;
     o.scheduler.minShardShots = 32;
     o.resultCacheTtlH = 0.5;
     EventJournal journal;
-    journal.config = describeNode(o,
-                                  {{"ibmq_bogota"},
-                                   {"ibmq_manila"},
-                                   {"ibmq_quito"},
-                                   {"ibmq_lima"}},
-                                  {{"heisenberg_vqe", 7}});
+    journal.config.options = o;
+    journal.config.devices = {{"ibmq_bogota"},
+                              {"ibmq_manila"},
+                              {"ibmq_quito"},
+                              {"ibmq_lima"}};
+    journal.config.workloads = {{"heisenberg_vqe", 7}};
 
     serve::ServiceNode node(devicesFor(journal.config),
-                            optionsFor(journal.config));
+                            journal.config.options);
     VqaProblem p = problemByName("heisenberg_vqe", 7);
     serve::WorkloadId wl =
         node.registerWorkload(p.ansatz, p.hamiltonian);
@@ -339,15 +340,15 @@ TEST(Replayer, ShedJoinAndRiderReplayBitIdentical)
     o.seed = 202;
     o.scheduler.minShardShots = 32;
     EventJournal journal;
-    journal.config = describeNode(o,
-                                  {{"ibmq_bogota"},
-                                   {"ibmq_manila"},
-                                   {"ibmq_quito"},
-                                   {"ibmq_lima"}},
-                                  {{"heisenberg_vqe", 7}});
+    journal.config.options = o;
+    journal.config.devices = {{"ibmq_bogota"},
+                              {"ibmq_manila"},
+                              {"ibmq_quito"},
+                              {"ibmq_lima"}};
+    journal.config.workloads = {{"heisenberg_vqe", 7}};
 
     serve::ServiceNode node(devicesFor(journal.config),
-                            optionsFor(journal.config));
+                            journal.config.options);
     VqaProblem p = problemByName("heisenberg_vqe", 7);
     serve::WorkloadId wl =
         node.registerWorkload(p.ansatz, p.hamiltonian);
@@ -595,7 +596,7 @@ TEST(InvariantChecker, FlagsExpiredCacheHit)
 {
     EventJournal j;
     j.config.devices = {{"ibmq_lima"}};
-    j.config.cacheTtlH = 0.4;
+    j.config.options.resultCacheTtlH = 0.4;
 
     serve::ShardResult s;
     s.member = 0;

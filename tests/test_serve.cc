@@ -307,7 +307,11 @@ TEST(ServiceNode, RetryAfterHintsMonotoneInBacklog)
     EXPECT_EQ(node.counters().rejectedQueueFull, 1u);
     EXPECT_EQ(node.counters().rejectedBadRequest, 1u);
     EXPECT_EQ(node.counters().jobsRejected, 8u);
-    EXPECT_EQ(node.retryAfterStats().count(), 7u);
+    uint64_t hinted = 0;
+    for (const obs::MetricSample &m : node.metrics().snapshot().samples)
+        if (m.name == "eqc_service_retry_after_seconds")
+            hinted += m.count;
+    EXPECT_EQ(hinted, 7u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 
 namespace eqc {
@@ -83,114 +82,28 @@ TEST(Stats, LinearFitR2Partial)
     EXPECT_LT(f.r2, 1.0);
 }
 
-TEST(Percentiles, ExactBelowCapacity)
+TEST(ExactQuantile, InterpolatesBetweenOrderStatistics)
 {
-    // 1..100: every quantile is exact while the reservoir holds all
-    // observations (nearest-rank with linear interpolation).
-    stats::Percentiles p(128);
-    for (int i = 100; i >= 1; --i)
-        p.add(i);
-    EXPECT_EQ(p.count(), 100u);
-    EXPECT_EQ(p.sampleSize(), 100u);
-    EXPECT_DOUBLE_EQ(p.quantile(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(p.quantile(1.0), 100.0);
-    EXPECT_NEAR(p.p50(), 50.5, 1e-12);
-    EXPECT_NEAR(p.p95(), 95.05, 1e-12);
-    EXPECT_NEAR(p.p99(), 99.01, 1e-12);
-}
-
-TEST(Percentiles, ReservoirTracksKnownDistribution)
-{
-    // Uniform[0, 1) stream much longer than the reservoir: sampled
-    // quantiles must stay close to the true ones.
-    stats::Percentiles p(512);
-    Rng rng(99);
-    for (int i = 0; i < 50000; ++i)
-        p.add(rng.uniform());
-    EXPECT_EQ(p.count(), 50000u);
-    EXPECT_EQ(p.sampleSize(), 512u);
-    EXPECT_NEAR(p.p50(), 0.50, 0.06);
-    EXPECT_NEAR(p.p95(), 0.95, 0.04);
-    EXPECT_NEAR(p.p99(), 0.99, 0.03);
-}
-
-TEST(Percentiles, DeterministicForIdenticalStreams)
-{
-    stats::Percentiles a(64), b(64);
-    Rng rng(7);
+    // 1..100: nearest-rank with linear interpolation, min / max at the
+    // ends, q clamped into [0, 1].
     std::vector<double> xs;
-    for (int i = 0; i < 1000; ++i)
-        xs.push_back(rng.normal(10.0, 2.0));
-    for (double x : xs) {
-        a.add(x);
-        b.add(x);
-    }
-    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q));
+    for (int i = 1; i <= 100; ++i)
+        xs.push_back(i);
+    EXPECT_DOUBLE_EQ(exactQuantile(xs, 0.0), 1.0);
+    EXPECT_DOUBLE_EQ(exactQuantile(xs, 1.0), 100.0);
+    EXPECT_NEAR(exactQuantile(xs, 0.50), 50.5, 1e-12);
+    EXPECT_NEAR(exactQuantile(xs, 0.95), 95.05, 1e-12);
+    EXPECT_NEAR(exactQuantile(xs, 0.99), 99.01, 1e-12);
+    EXPECT_DOUBLE_EQ(exactQuantile(xs, -1.0), 1.0);
+    EXPECT_DOUBLE_EQ(exactQuantile(xs, 2.0), 100.0);
 }
 
-TEST(Percentiles, MergeConcatenatesExactlyBelowCapacity)
+TEST(ExactQuantile, EmptyAndSingle)
 {
-    // While both reservoirs fit, a merge is an exact concatenation:
-    // the merged estimator matches one that watched both streams.
-    stats::Percentiles a(256), b(256), whole(256);
-    for (int i = 1; i <= 50; ++i) {
-        a.add(i);
-        whole.add(i);
-    }
-    for (int i = 51; i <= 100; ++i) {
-        b.add(i);
-        whole.add(i);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), 100u);
-    EXPECT_EQ(a.sampleSize(), 100u);
-    for (double q : {0.0, 0.25, 0.5, 0.95, 1.0})
-        EXPECT_DOUBLE_EQ(a.quantile(q), whole.quantile(q));
-    // The source is untouched and nothing was double-counted.
-    EXPECT_EQ(b.count(), 50u);
-}
-
-TEST(Percentiles, MergeIsDeterministicAndWeightedPastCapacity)
-{
-    auto fill = [](stats::Percentiles &p, uint64_t seed, double lo,
-                   double hi, int n) {
-        Rng rng(seed);
-        for (int i = 0; i < n; ++i)
-            p.add(rng.uniform(lo, hi));
-    };
-
-    // Same inputs merged twice must agree bitwise: the replacement
-    // draws come from the target's own deterministic stream.
-    stats::Percentiles a1(256), b1(256), a2(256), b2(256);
-    fill(a1, 5, 0.0, 1.0, 20000);
-    fill(a2, 5, 0.0, 1.0, 20000);
-    fill(b1, 6, 2.0, 3.0, 20000);
-    fill(b2, 6, 2.0, 3.0, 20000);
-    a1.merge(b1);
-    a2.merge(b2);
-    EXPECT_EQ(a1.count(), 40000u);
-    EXPECT_EQ(a1.count(), a2.count());
-    EXPECT_LE(a1.sampleSize(), 256u);
-    for (double q : {0.0, 0.1, 0.5, 0.9, 1.0})
-        EXPECT_DOUBLE_EQ(a1.quantile(q), a2.quantile(q));
-
-    // Equal stream weights: the merged sample splits its mass evenly
-    // between the two disjoint ranges, so the quartiles land inside
-    // their source range and the median sits in the gap.
-    EXPECT_NEAR(a1.quantile(0.25), 0.5, 0.15);
-    EXPECT_NEAR(a1.quantile(0.75), 2.5, 0.15);
-    EXPECT_GT(a1.p50(), 0.7);
-    EXPECT_LT(a1.p50(), 2.3);
-}
-
-TEST(Percentiles, EmptyAndSingle)
-{
-    stats::Percentiles p(8);
-    EXPECT_DOUBLE_EQ(p.quantile(0.5), 0.0);
-    p.add(42.0);
-    EXPECT_DOUBLE_EQ(p.p50(), 42.0);
-    EXPECT_DOUBLE_EQ(p.p99(), 42.0);
+    EXPECT_DOUBLE_EQ(exactQuantile({}, 0.5), 0.0);
+    const std::vector<double> one = {42.0};
+    EXPECT_DOUBLE_EQ(exactQuantile(one, 0.5), 42.0);
+    EXPECT_DOUBLE_EQ(exactQuantile(one, 0.99), 42.0);
 }
 
 TEST(Stats, MeanStddevVectors)
