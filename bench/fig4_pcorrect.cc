@@ -45,7 +45,7 @@ main()
             double t = calTime + age;
             // Calculated: 1 - P_correct from the *reported* calibration.
             double calc = 1.0 - pCorrect(circuitQuality(tc),
-                                         qpu.reportedCalibration(t));
+                                         *qpu.reportedCalibration(t));
             // Observed: fraction of non-GHZ outcomes from execution
             // under the *actual* (drifted) noise.
             JobResult r = qpu.execute(tc, {}, 8192, t, rng, false);

@@ -53,11 +53,11 @@ main()
         WeightNormalizer norm({0.5, 1.5});
         for (std::size_t i = 0; i < entries.size(); ++i) {
             Entry &e = entries[i];
-            CalibrationSnapshot rep =
+            const std::shared_ptr<const CalibrationSnapshot> rep =
                 e.qpu.reportedCalibration(static_cast<double>(hour));
             double sum = 0.0;
             for (const TranspiledCircuit &tc : e.compiled)
-                sum += pCorrect(circuitQuality(tc), rep);
+                sum += pCorrect(circuitQuality(tc), *rep);
             norm.update(static_cast<int>(i),
                         sum / static_cast<double>(e.compiled.size()));
         }

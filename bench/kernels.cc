@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "circuit/ansatz.h"
+#include "common/rng.h"
 #include "common/task_pool.h"
 #include "core/client.h"
 #include "core/weighting.h"
@@ -137,6 +138,23 @@ BM_ThermalRelaxationFastPath(benchmark::State &state)
         dm.applyThermalRelaxation(0, 0.001, 0.999);
 }
 BENCHMARK(BM_ThermalRelaxationFastPath)->Arg(4)->Arg(6);
+
+// The per-execution stream of the estimator: a fork of one parent draw
+// plus k normal draws (a Gaussian-mode estimate makes about 5).
+void
+BM_RngForkAndDraw(benchmark::State &state)
+{
+    const int draws = static_cast<int>(state.range(0));
+    uint64_t label = 0;
+    for (auto _ : state) {
+        Rng rng(Rng::forkSeed(0x5EEDULL, label++));
+        double sum = 0.0;
+        for (int k = 0; k < draws; ++k)
+            sum += rng.normal(0.0, 1.0);
+        benchmark::DoNotOptimize(sum);
+    }
+}
+BENCHMARK(BM_RngForkAndDraw)->Arg(1)->Arg(5)->Arg(400);
 
 void
 BM_TranspileAnsatz(benchmark::State &state)

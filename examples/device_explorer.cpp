@@ -49,9 +49,9 @@ main()
     TranspiledCircuit tBogota = transpile(target, bogota.coupling);
     for (int h = 0; h <= 72; h += 6) {
         double pc = pCorrect(circuitQuality(tCasa),
-                             qCasa.reportedCalibration(h));
+                             *qCasa.reportedCalibration(h));
         double pb = pCorrect(circuitQuality(tBogota),
-                             qBogota.reportedCalibration(h));
+                             *qBogota.reportedCalibration(h));
         std::printf("%-8d %14.4f %14.4f\n", h, pc, pb);
     }
 
@@ -61,7 +61,7 @@ main()
                 "incident");
     for (int h = 0; h <= 72; h += 6) {
         std::printf("%-8d %11.3f%% %11.3f%% %10s\n", h,
-                    100.0 * qCasa.reportedCalibration(h).avgCxError(),
+                    100.0 * qCasa.reportedCalibration(h)->avgCxError(),
                     100.0 * qCasa.tracker().actual(h).avgCxError(),
                     qCasa.tracker().inIncident(h) ? "yes" : "no");
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "common/logging.h"
 
@@ -25,6 +26,60 @@ hashLabel(const std::string &label)
         h *= 0x100000001B3ULL;
     }
     return h;
+}
+
+namespace {
+
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kLowerMask = ~kUpperMask;
+
+/** The Mersenne Twister recurrence for one state word. */
+inline uint64_t
+twistWord(uint64_t hi, uint64_t lo, uint64_t far)
+{
+    const uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+    return far ^ (y >> 1) ^ ((y & 1) ? 0xB5026F5AA96619E9ULL : 0);
+}
+
+} // namespace
+
+void
+MersenneTwister64::seedTo(std::size_t end)
+{
+    for (std::size_t i = seeded_; i < end; ++i) {
+        const uint64_t p = x_[i - 1];
+        x_[i] = 6364136223846793005ULL * (p ^ (p >> 62)) + i;
+    }
+    seeded_ = end;
+}
+
+void
+MersenneTwister64::refill()
+{
+    constexpr std::size_t n = kStateSize, m = kShift;
+    if (ready_ < n) {
+        // First generation: twist word k in place, as the bulk twist
+        // below would, seeding only as far as it reads.
+        const std::size_t k = ready_++;
+        if (k < n - m) {
+            if (seeded_ <= k + m)
+                seedTo(k + m + 1);
+            x_[k] = twistWord(x_[k], x_[k + 1], x_[k + m]);
+        } else if (k + 1 < n) {
+            x_[k] = twistWord(x_[k], x_[k + 1], x_[k + m - n]);
+        } else {
+            x_[k] = twistWord(x_[k], x_[0], x_[m - 1]);
+        }
+        return;
+    }
+    // Every later generation: the standard bulk twist.
+    std::size_t k = 0;
+    for (; k < n - m; ++k)
+        x_[k] = twistWord(x_[k], x_[k + 1], x_[k + m]);
+    for (; k < n - 1; ++k)
+        x_[k] = twistWord(x_[k], x_[k + 1], x_[k + m - n]);
+    x_[n - 1] = twistWord(x_[n - 1], x_[0], x_[m - 1]);
+    next_ = 0;
 }
 
 Rng::Rng(uint64_t seed) : seed_(seed), engine_(splitmix64(seed)) {}
@@ -101,24 +156,6 @@ Rng::bernoulli(double p)
     if (p >= 1.0)
         return true;
     return std::bernoulli_distribution(p)(engine_);
-}
-
-std::size_t
-Rng::discrete(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights)
-        total += std::max(0.0, w);
-    if (total <= 0.0)
-        panic("Rng::discrete: weight vector has no positive entry");
-    double r = uniform() * total;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += std::max(0.0, weights[i]);
-        if (r < acc)
-            return i;
-    }
-    return weights.size() - 1;
 }
 
 std::vector<uint64_t>

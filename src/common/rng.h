@@ -12,17 +12,98 @@
 #ifndef EQC_COMMON_RNG_H
 #define EQC_COMMON_RNG_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
 namespace eqc {
 
 /**
+ * std::mt19937_64, bit for bit, with the seeding and the first twist
+ * done only as far as the draws reach.
+ *
+ * The standard engine fills all 312 state words when seeded and twists
+ * all 312 on the first draw. Here first-generation word k < 156 is
+ * twisted on demand from seed words k, k+1 and k+156, and seed words
+ * are computed in order only up to that horizon; words 156-311 use
+ * words twisted earlier in the same generation. From draw 313 on every
+ * generation is the ordinary bulk twist. A generator that makes a few
+ * draws (a Gaussian shot-noise estimate uses about five) therefore
+ * pays for about 160 state words instead of 624.
+ *
+ * Models UniformRandomBitGenerator with the standard engine's
+ * result_type, min() and max(), so the std:: distributions consume the
+ * same words and return the same values. Copies carry only the state
+ * words computed so far.
+ */
+class MersenneTwister64
+{
+  public:
+    using result_type = uint64_t;
+
+    explicit MersenneTwister64(uint64_t seed) { x_[0] = seed; }
+
+    MersenneTwister64(const MersenneTwister64 &o) { *this = o; }
+
+    MersenneTwister64 &
+    operator=(const MersenneTwister64 &o)
+    {
+        if (this != &o) {
+            std::copy(o.x_, o.x_ + o.seeded_, x_);
+            seeded_ = o.seeded_;
+            ready_ = o.ready_;
+            next_ = o.next_;
+        }
+        return *this;
+    }
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    /** The next 64-bit output. */
+    result_type
+    operator()()
+    {
+        if (next_ == ready_)
+            refill();
+        result_type z = x_[next_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        z ^= z >> 43;
+        return z;
+    }
+
+  private:
+    static constexpr std::size_t kStateSize = 312;
+    static constexpr std::size_t kShift = 156;
+
+    /**
+     * Make word next_ of the generation available: twist the next
+     * first-generation word, or run the bulk twist of a new generation.
+     */
+    void refill();
+
+    /** Compute seed words up to (excluding) @p end. */
+    void seedTo(std::size_t end);
+
+    /** State words; only [0, seeded_) hold values. */
+    uint64_t x_[kStateSize];
+    /** Seed words computed (all of them from first-generation word 155 on). */
+    std::size_t seeded_ = 1;
+    /** Words of the current generation twisted and ready to temper. */
+    std::size_t ready_ = 0;
+    /** Index of the next word to output. */
+    std::size_t next_ = 0;
+};
+
+/**
  * A seeded pseudo-random generator with convenience distributions.
  *
- * Wraps std::mt19937_64. Copyable; copies continue the same stream
+ * Draws from MersenneTwister64, so every stream is the one
+ * std::mt19937_64 would give. Copyable; copies continue the same stream
  * independently from the point of the copy.
  */
 class Rng
@@ -69,12 +150,6 @@ class Rng
     bool bernoulli(double p);
 
     /**
-     * Sample one index from an unnormalized non-negative weight vector.
-     * @param weights unnormalized weights; must contain a positive entry.
-     */
-    std::size_t discrete(const std::vector<double> &weights);
-
-    /**
      * Draw a multinomial sample: @p shots draws over @p probs.
      * @return per-outcome counts, same length as @p probs.
      */
@@ -89,7 +164,7 @@ class Rng
 
   private:
     uint64_t seed_;
-    std::mt19937_64 engine_;
+    MersenneTwister64 engine_;
 };
 
 /** splitmix64 hash step, used for seed scrambling and label mixing. */

@@ -24,13 +24,13 @@ ClientNode::ClientNode(int id, Device device, const VqaProblem &problem,
 double
 ClientNode::computePCorrect(double atTimeH) const
 {
-    CalibrationSnapshot reported =
+    const std::shared_ptr<const CalibrationSnapshot> reported =
         backend_.reportedCalibration(atTimeH);
     // Average Eq. 2 over the measurement-group circuits (they share the
     // ansatz and differ only in basis rotations).
     double sum = 0.0;
     for (const TranspiledCircuit &tc : compiled_)
-        sum += pCorrect(circuitQuality(tc), reported,
+        sum += pCorrect(circuitQuality(tc), *reported,
                         config_.pCorrectMode);
     return sum / static_cast<double>(compiled_.size());
 }

@@ -69,10 +69,9 @@ class QnnClient
             center.energy - problem_.dataset[dataIndex].label;
         out.gradient = 2.0 * residual * dO.gradient;
 
-        CalibrationSnapshot reported =
-            backend_.reportedCalibration(atTimeH);
         out.pCorrect = pCorrect(circuitQuality(ps.compiled[0]),
-                                reported, options_.pCorrectMode);
+                                *backend_.reportedCalibration(atTimeH),
+                                options_.pCorrectMode);
         return out;
     }
 

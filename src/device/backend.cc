@@ -1,7 +1,6 @@
 #include "device/backend.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -25,6 +24,8 @@ struct SimulatedQpu::ExecPlan
     std::vector<int> physOf;
     /** MEASURE targets (compact qubits) in program order. */
     std::vector<int> measured;
+    /** Physical (min, max) pairs of the circuit's CXs, sorted, unique. */
+    std::vector<std::pair<int, int>> cxPairs;
     /**
      * Wall-clock duration of one execution (microseconds). Gate times
      * never drift (only error rates and coherences do), so this is a
@@ -37,27 +38,34 @@ struct SimulatedQpu::ExecPlan
 
 struct SimulatedQpu::NoiseContext
 {
-    double timeH = 0.0;
-    CalibrationSnapshot cal;
     bool noiseless = false;
 
-    /** Thermal-relaxation factors per physical qubit for the 1q time. */
-    std::vector<double> g1Gamma, g1Coherence;
-    /** Coherent RX miscalibration, precompiled per physical qubit. */
-    std::vector<char> hasRx;
-    std::vector<std::array<Complex, 4>> rx;
-    /**
-     * Per-qubit post-gate noise superoperator for physical 1q gates:
-     * the 4x4 composition depolarizing(gate1qError) * thermal(1q gate
-     * time) over the vectorized sub-index k + 2b. execute() left-
-     * multiplies it onto each fused unitary's U (x) conj(U) so the
-     * whole gate+noise sequence costs a single kernel pass.
-     */
-    std::vector<std::array<Complex, 16>> n1;
-    /** n1 is the identity and no rx: plain unitary apply suffices. */
-    std::vector<char> n1Trivial;
+    /** Noise of one physical qubit a circuit of the batch uses. */
+    struct QubitNoise
+    {
+        /** Actual calibration (its readout confusion applies at SPAM). */
+        QubitCalibration cal;
+        /** Thermal-relaxation factors for the 1q gate time. */
+        double g1Gamma = 0.0, g1Coherence = 1.0;
+        /** Coherent RX miscalibration, precompiled. */
+        bool hasRx = false;
+        Complex rx[4];
+        /**
+         * Post-gate noise superoperator for physical 1q gates: the 4x4
+         * composition depolarizing(gate1qError) * thermal(1q gate time)
+         * over the vectorized sub-index k + 2b. apply() left-multiplies
+         * it onto each fused unitary's U (x) conj(U) so the whole
+         * gate+noise sequence costs a single kernel pass.
+         */
+        Complex n1[16];
+        /** n1 is the identity and no rx: plain unitary apply suffices. */
+        bool n1Trivial = false;
+    };
+    /** Physical qubit -> index into qubits; -1 where unused. */
+    std::vector<int> slotOf;
+    std::vector<QubitNoise> qubits;
 
-    /** Per-pair CX noise, keyed by (min, max) physical ids. */
+    /** Per-pair CX noise. */
     struct CxNoise
     {
         double err = 0.0;
@@ -69,7 +77,29 @@ struct SimulatedQpu::NoiseContext
         double gammaLo = 0.0, cohLo = 1.0;
         double gammaHi = 0.0, cohHi = 1.0;
     };
-    std::map<std::pair<int, int>, CxNoise> cx;
+    /** Used coupled pairs, keyed by (min, max) physical ids, sorted. */
+    std::vector<std::pair<std::pair<int, int>, CxNoise>> cx;
+
+    const QubitNoise &
+    qubit(int phys) const
+    {
+        return qubits[slotOf[phys]];
+    }
+
+    /** The noise of pair (@p lo, @p hi); panics on a pair not built. */
+    const CxNoise &
+    cxFor(int lo, int hi) const
+    {
+        const std::pair<int, int> key{lo, hi};
+        auto it = std::lower_bound(
+            cx.begin(), cx.end(), key,
+            [](const auto &e, const std::pair<int, int> &k) {
+                return e.first < k;
+            });
+        if (it == cx.end() || it->first != key)
+            panic("SimulatedQpu: CX on uncoupled qubits");
+        return it->second;
+    }
 };
 
 namespace {
@@ -156,20 +186,12 @@ matMul(Complex *c, const Complex *a, const Complex *b, int sub)
         }
 }
 
-/** true when the calibration carries effectively no noise. */
+/** true when a qubit's calibration carries effectively no noise. */
 bool
-isNoiseless(const CalibrationSnapshot &cal)
+isNoiseless(const QubitCalibration &q)
 {
-    for (const auto &q : cal.qubits) {
-        if (q.gate1qError > 0.0 || q.readout.p01 > 0.0 ||
-            q.readout.p10 > 0.0 || q.t1Us < 1e7) {
-            return false;
-        }
-    }
-    for (const auto &[k, v] : cal.cxError)
-        if (v > 0.0)
-            return false;
-    return true;
+    return !(q.gate1qError > 0.0 || q.readout.p01 > 0.0 ||
+             q.readout.p10 > 0.0 || q.t1Us < 1e7);
 }
 
 } // namespace
@@ -215,9 +237,18 @@ SimulatedQpu::planFor(const TranspiledCircuit &tc)
     plan->ideal = fuseForSimulation(tc.compact, FusionMode::Full);
     plan->durationUs = circuitDurationUs(tc.compact, dev_.baseCalibration,
                                          tc.compactToPhysical);
-    for (const GateOp &op : tc.compact.ops())
+    for (const GateOp &op : tc.compact.ops()) {
         if (op.type == GateType::MEASURE)
             plan->measured.push_back(op.qubits[0]);
+        if (op.type == GateType::CX)
+            plan->cxPairs.push_back(
+                std::minmax(plan->physOf[op.qubits[0]],
+                            plan->physOf[op.qubits[1]]));
+    }
+    std::sort(plan->cxPairs.begin(), plan->cxPairs.end());
+    plan->cxPairs.erase(
+        std::unique(plan->cxPairs.begin(), plan->cxPairs.end()),
+        plan->cxPairs.end());
 
     std::lock_guard<std::mutex> lk(planMu_);
     // Possibly racing another builder, or evicting a hash collision;
@@ -238,73 +269,95 @@ SimulatedQpu::planCacheContains(const TranspiledCircuit &tc) const
 }
 
 SimulatedQpu::NoiseContext
-SimulatedQpu::noiseContextAt(double tH) const
+SimulatedQpu::noiseContextAt(
+    double tH,
+    const std::vector<std::shared_ptr<const ExecPlan>> &plans) const
 {
     NoiseContext nc;
-    nc.timeH = tH;
-    nc.cal = tracker_.actual(tH);
-    nc.noiseless = isNoiseless(nc.cal);
+    const CalibrationTracker::Drift drift = tracker_.driftAt(tH);
+    const CalibrationSnapshot &base = tracker_.base();
+    const int nq = static_cast<int>(base.qubits.size());
 
-    const double t1qUs = nc.cal.gate1qTimeNs / 1000.0;
-    const std::size_t nq = nc.cal.qubits.size();
-    nc.g1Gamma.resize(nq);
-    nc.g1Coherence.resize(nq);
-    nc.hasRx.assign(nq, 0);
-    nc.rx.resize(nq);
-    nc.n1.resize(nq);
-    nc.n1Trivial.assign(nq, 0);
-    for (std::size_t q = 0; q < nq; ++q) {
-        const QubitCalibration &qc = nc.cal.qubits[q];
-        thermalFactors(qc, t1qUs, nc.g1Gamma[q], nc.g1Coherence[q]);
-        if (qc.coherentRxRad != 0.0) {
-            nc.hasRx[q] = 1;
-            const double angle[1] = {qc.coherentRxRad};
-            gateEntries(GateType::RX, angle, nc.rx[q].data());
-        }
-        // Thermal relaxation then depolarizing as one 4x4
-        // superoperator, composed heap-free and bitwise equal to the
-        // Kraus chain (quantum/kraus.h).
-        thermalDepolarizingSuperop1q(qc.t1Us, qc.t2Us, t1qUs,
-                                     qc.gate1qError, nc.n1[q].data());
-        nc.n1Trivial[q] = !nc.hasRx[q] && qc.gate1qError <= 0.0 &&
-                            nc.g1Gamma[q] == 0.0 &&
-                            nc.g1Coherence[q] == 1.0;
+    // Noiseless means the whole chip at tH, not just the used qubits.
+    nc.noiseless = true;
+    for (int q = 0; q < nq && nc.noiseless; ++q)
+        nc.noiseless = isNoiseless(tracker_.actualQubit(drift, q));
+    for (const auto &[pair, err] : base.cxError) {
+        if (!nc.noiseless)
+            break;
+        nc.noiseless =
+            !(CalibrationTracker::actualCxError(drift, err) > 0.0);
     }
-    for (const auto &[pair, err] : nc.cal.cxError) {
-        auto timeIt = nc.cal.cxTimeNs.find(pair);
-        if (timeIt == nc.cal.cxTimeNs.end())
-            continue; // no duration on record: unusable pair
+    if (nc.noiseless)
+        return nc; // the statevector path reads no noise
+
+    const double t1qUs = base.gate1qTimeNs / 1000.0;
+    nc.slotOf.assign(nq, -1);
+    for (const auto &plan : plans) {
+        for (int p : plan->physOf) {
+            if (nc.slotOf[p] >= 0)
+                continue;
+            nc.slotOf[p] = static_cast<int>(nc.qubits.size());
+            NoiseContext::QubitNoise &qn = nc.qubits.emplace_back();
+            qn.cal = tracker_.actualQubit(drift, p);
+            const QubitCalibration &qc = qn.cal;
+            thermalFactors(qc, t1qUs, qn.g1Gamma, qn.g1Coherence);
+            if (qc.coherentRxRad != 0.0) {
+                qn.hasRx = true;
+                const double angle[1] = {qc.coherentRxRad};
+                gateEntries(GateType::RX, angle, qn.rx);
+            }
+            // Thermal relaxation then depolarizing as one 4x4
+            // superoperator, composed heap-free and bitwise equal to
+            // the Kraus chain (quantum/kraus.h).
+            thermalDepolarizingSuperop1q(qc.t1Us, qc.t2Us, t1qUs,
+                                         qc.gate1qError, qn.n1);
+            qn.n1Trivial = !qn.hasRx && qc.gate1qError <= 0.0 &&
+                           qn.g1Gamma == 0.0 && qn.g1Coherence == 1.0;
+        }
+    }
+
+    std::vector<std::pair<int, int>> pairs;
+    for (const auto &plan : plans)
+        pairs.insert(pairs.end(), plan->cxPairs.begin(),
+                     plan->cxPairs.end());
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    for (const std::pair<int, int> &pair : pairs) {
+        auto errIt = base.cxError.find(pair);
+        auto timeIt = base.cxTimeNs.find(pair);
+        if (errIt == base.cxError.end() || timeIt == base.cxTimeNs.end())
+            continue; // uncoupled, or no duration on record: unusable
         NoiseContext::CxNoise cn;
         const double durUs = timeIt->second / 1000.0;
-        const double phase =
-            nc.cal.cxPhaseFor(pair.first, pair.second);
+        const double phase = CalibrationTracker::actualCxPhase(
+            drift, base.cxPhaseFor(pair.first, pair.second));
         if (phase != 0.0) {
             cn.hasZz = true;
             const double angle[1] = {phase};
             gateEntries(GateType::RZZ, angle, cn.zz);
         }
-        cn.err = err;
-        thermalFactors(nc.cal.qubits[pair.first], durUs, cn.gammaLo,
+        cn.err = CalibrationTracker::actualCxError(drift, errIt->second);
+        thermalFactors(nc.qubit(pair.first).cal, durUs, cn.gammaLo,
                        cn.cohLo);
-        thermalFactors(nc.cal.qubits[pair.second], durUs, cn.gammaHi,
+        thermalFactors(nc.qubit(pair.second).cal, durUs, cn.gammaHi,
                        cn.cohHi);
-        cn.trivial = err <= 0.0 && cn.gammaLo == 0.0 &&
+        cn.trivial = cn.err <= 0.0 && cn.gammaLo == 0.0 &&
                      cn.cohLo == 1.0 && cn.gammaHi == 0.0 &&
                      cn.cohHi == 1.0;
-        nc.cx.emplace(pair, cn);
+        nc.cx.emplace_back(pair, cn);
     }
-
     return nc;
 }
 
-CalibrationSnapshot
+std::shared_ptr<const CalibrationSnapshot>
 SimulatedQpu::reportedCalibration(double tH) const
 {
     std::lock_guard<std::mutex> lk(reportedMu_);
-    if (!hasReported_ || reportedTimeH_ != tH) {
-        reportedCal_ = tracker_.reported(tH);
+    if (!reportedCal_ || reportedTimeH_ != tH) {
+        reportedCal_ = std::make_shared<const CalibrationSnapshot>(
+            tracker_.reported(tH));
         reportedTimeH_ = tH;
-        hasReported_ = true;
     }
     return reportedCal_;
 }
@@ -412,9 +465,9 @@ struct SimulatedQpu::BatchWalk
             break;
           case GateType::ID: {
             // Explicit idle: thermal relaxation only, no unitary.
-            const int p0 = plan.physOf[op.q0];
-            dm.applyThermalRelaxation(op.q0, nc.g1Gamma[p0],
-                                      nc.g1Coherence[p0]);
+            const NoiseContext::QubitNoise &qn =
+                nc.qubit(plan.physOf[op.q0]);
+            dm.applyThermalRelaxation(op.q0, qn.g1Gamma, qn.g1Coherence);
             break;
           }
           case GateType::SX:
@@ -424,13 +477,14 @@ struct SimulatedQpu::BatchWalk
             // coherent miscalibration, thermal relaxation and
             // depolarizing compose into a single 4x4 channel
             // superoperator N1 * (W (x) conj(W)).
-            const int p0 = plan.physOf[op.q0];
+            const NoiseContext::QubitNoise &qn =
+                nc.qubit(plan.physOf[op.q0]);
             Complex w[4];
-            if (nc.hasRx[p0])
-                matMul(w, nc.rx[p0].data(), u, 2);
+            if (qn.hasRx)
+                matMul(w, qn.rx, u, 2);
             else
                 std::memcpy(w, u, sizeof(w));
-            if (nc.n1Trivial[p0]) {
+            if (qn.n1Trivial) {
                 dm.applyGate1(w, op.q0);
                 break;
             }
@@ -442,7 +496,7 @@ struct SimulatedQpu::BatchWalk
                             m[(kp + 2 * bp) * 4 + (k + 2 * b)] =
                                 w[kp * 2 + k] *
                                 std::conj(w[bp * 2 + b]);
-            matMul(s, nc.n1[p0].data(), m, 4);
+            matMul(s, qn.n1, m, 4);
             dm.applyChannelSuperop1(s, op.q0);
             break;
           }
@@ -450,10 +504,8 @@ struct SimulatedQpu::BatchWalk
             const int p0 = plan.physOf[op.q0];
             const int p1 = plan.physOf[op.q1];
             const auto key = std::minmax(p0, p1);
-            auto it = nc.cx.find({key.first, key.second});
-            if (it == nc.cx.end())
-                panic("SimulatedQpu: CX on uncoupled qubits");
-            const NoiseContext::CxNoise &cn = it->second;
+            const NoiseContext::CxNoise &cn =
+                nc.cxFor(key.first, key.second);
             const Complex *w = u;
             Complex w2[16];
             if (cn.hasZz) {
@@ -698,7 +750,7 @@ SimulatedQpu::executeBatch(const std::vector<ExecItem> &items, int shots,
         }
     }
 
-    const NoiseContext nc = noiseContextAt(atTimeH);
+    const NoiseContext nc = noiseContextAt(atTimeH, plans);
     TaskPool &p = pool ? *pool : TaskPool::shared();
     std::vector<std::vector<double>> probs(count);
     if (nc.noiseless) {
@@ -741,11 +793,9 @@ SimulatedQpu::executeBatch(const std::vector<ExecItem> &items, int shots,
         r.probabilities = std::move(probs[i]);
         if (!nc.noiseless) {
             // SPAM: per-qubit readout confusion on the measured qubits.
-            for (int q : plan.measured) {
-                const QubitCalibration &qc =
-                    nc.cal.qubits[plan.physOf[q]];
-                applyReadoutError(r.probabilities, q, qc.readout);
-            }
+            for (int q : plan.measured)
+                applyReadoutError(r.probabilities, q,
+                                  nc.qubit(plan.physOf[q]).cal.readout);
         }
         if (sampleCounts && shots > 0)
             r.counts = items[i].rng->multinomial(

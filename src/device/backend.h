@@ -105,7 +105,8 @@ class QuantumBackend
      * Eq. 2 weighting and readout-error mitigation; it lags the true
      * noise by up to one calibration cycle.
      */
-    virtual CalibrationSnapshot reportedCalibration(double tH) const = 0;
+    virtual std::shared_ptr<const CalibrationSnapshot>
+    reportedCalibration(double tH) const = 0;
 
     /**
      * true when this backend already holds a compiled execution plan
@@ -138,8 +139,9 @@ class SimulatedQpu : public QuantumBackend
     SimulatedQpu(SimulatedQpu &&other) noexcept;
 
     /**
-     * Builds one noise context for @p atTimeH and looks up each
-     * distinct plan once. Noisy items then run as a prefix tree over
+     * Looks up each distinct plan once and builds one noise context
+     * for @p atTimeH, covering the union of the plans' physical qubits
+     * and CX pairs. Noisy items then run as a prefix tree over
      * their NoisePreserving fused programs: an op that several items
      * share (same operator, physical qubits and bound parameter bits)
      * is applied once, and op order is never changed, so every result
@@ -157,8 +159,13 @@ class SimulatedQpu : public QuantumBackend
 
     const Device &device() const override { return dev_; }
 
-    /** Calibration the provider advertises at time t (no drift). */
-    CalibrationSnapshot reportedCalibration(double tH) const override;
+    /**
+     * Calibration the provider advertises at time t (no drift). The
+     * snapshot of the last time asked for is cached and shared, not
+     * copied.
+     */
+    std::shared_ptr<const CalibrationSnapshot>
+    reportedCalibration(double tH) const override;
 
     /** Exact (signature-verified) plan-cache membership probe. */
     bool planCacheContains(const TranspiledCircuit &tc) const override;
@@ -187,11 +194,15 @@ class SimulatedQpu : public QuantumBackend
     /**
      * Everything a batch derives from the actual calibration at its
      * submission time, built once per executeBatch() call (every item
-     * of a batch shares one time): the drifted snapshot itself,
-     * per-qubit noise superoperators and thermal-relaxation factors
-     * for the 1q gate time, precompiled coherent-miscalibration and
-     * ZZ-phase entries, and per-pair CX noise. (Circuit durations live
-     * on the ExecPlan — gate times never drift.) Each qubit's 1q noise
+     * of a batch shares one time) and only for what the batch's
+     * circuits use: for each used physical qubit its drifted
+     * calibration, 1q noise superoperator, thermal-relaxation factors
+     * for the 1q gate time and precompiled coherent-miscalibration
+     * entries; for each used CX pair its depolarizing, thermal and
+     * ZZ-phase noise. (Circuit durations live on the ExecPlan — gate
+     * times never drift.) Each entry is computed from the drift of
+     * that time alone (CalibrationTracker::actualQubit), so it is the
+     * value a whole-chip snapshot would hold. Each qubit's 1q noise
      * superoperator is composed heap-free by
      * thermalDepolarizingSuperop1q (quantum/kraus.h), bitwise equal to
      * the Kraus-chain reference. Read-only once built.
@@ -204,8 +215,16 @@ class SimulatedQpu : public QuantumBackend
     /** Cached plan for @p tc, building it on first sight. */
     std::shared_ptr<const ExecPlan> planFor(const TranspiledCircuit &tc);
 
-    /** The noise context at time @p tH (built afresh; not cached). */
-    NoiseContext noiseContextAt(double tH) const;
+    /**
+     * The noise context at time @p tH for the physical qubits and CX
+     * pairs of @p plans (built afresh; not cached). Whether the batch
+     * runs noiseless is still decided over the whole chip; a noiseless
+     * context holds no entries.
+     */
+    NoiseContext
+    noiseContextAt(double tH,
+                   const std::vector<std::shared_ptr<const ExecPlan>>
+                       &plans) const;
 
     Device dev_;
     CalibrationTracker tracker_;
@@ -216,9 +235,8 @@ class SimulatedQpu : public QuantumBackend
         planCache_;
 
     mutable std::mutex reportedMu_;
-    mutable bool hasReported_ = false;
     mutable double reportedTimeH_ = 0.0;
-    mutable CalibrationSnapshot reportedCal_;
+    mutable std::shared_ptr<const CalibrationSnapshot> reportedCal_;
 };
 
 /**

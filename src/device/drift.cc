@@ -16,6 +16,26 @@ clampError(double e)
     return std::clamp(e, 0.0, 0.75);
 }
 
+/** A qubit's values as measured at a calibration of quality @p f. */
+void
+calibrateQubit(QubitCalibration &q, double f)
+{
+    const double coherenceF = 1.0 / std::sqrt(f);
+    q.t1Us *= coherenceF;
+    q.t2Us = std::min(q.t2Us * coherenceF, 2.0 * q.t1Us);
+    q.gate1qError = clampError(q.gate1qError * f);
+    q.readout.p01 = clampError(q.readout.p01 * f);
+    q.readout.p10 = clampError(q.readout.p10 * f);
+    q.coherentRxRad *= f; // signed miscalibration scales too
+}
+
+/** A pair's CX error as measured at a calibration of quality @p f. */
+double
+calibratedCxError(double e, double f)
+{
+    return clampError(e * f);
+}
+
 } // namespace
 
 DriftParams
@@ -121,18 +141,11 @@ CalibrationSnapshot
 CalibrationTracker::snapshotAtCalibration(std::size_t idx) const
 {
     CalibrationSnapshot s = base_;
-    double f = calQuality_[idx];
-    double coherenceF = 1.0 / std::sqrt(f);
-    for (QubitCalibration &q : s.qubits) {
-        q.t1Us *= coherenceF;
-        q.t2Us = std::min(q.t2Us * coherenceF, 2.0 * q.t1Us);
-        q.gate1qError = clampError(q.gate1qError * f);
-        q.readout.p01 = clampError(q.readout.p01 * f);
-        q.readout.p10 = clampError(q.readout.p10 * f);
-        q.coherentRxRad *= f; // signed miscalibration scales too
-    }
+    const double f = calQuality_[idx];
+    for (QubitCalibration &q : s.qubits)
+        calibrateQubit(q, f);
     for (auto &[k, v] : s.cxError)
-        v = clampError(v * f);
+        v = calibratedCxError(v, f);
     for (auto &[k, v] : s.cxPhaseRad)
         v *= f;
     s.timeH = calTimes_[idx];
@@ -159,30 +172,58 @@ CalibrationTracker::reported(double tH) const
     return s;
 }
 
+CalibrationTracker::Drift
+CalibrationTracker::driftAt(double tH) const
+{
+    Drift d;
+    d.quality = calQuality_[calIndex(tH)];
+    d.inflation = errorInflation(tH);
+    // Coherent miscalibration drifts more slowly than stochastic error
+    // rates (it is a control-pulse detuning, not a decoherence budget).
+    d.coherentInflation = std::sqrt(d.inflation);
+    d.coherenceDecay = 1.0 / (1.0 + params_.coherenceDriftPerHour *
+                                        hoursSinceCalibration(tH));
+    return d;
+}
+
+QubitCalibration
+CalibrationTracker::actualQubit(const Drift &d, int q) const
+{
+    QubitCalibration c = base_.qubits[q];
+    calibrateQubit(c, d.quality);
+    c.t1Us *= d.coherenceDecay;
+    c.t2Us = std::min(c.t2Us * d.coherenceDecay, 2.0 * c.t1Us);
+    c.gate1qError = clampError(c.gate1qError * d.inflation);
+    c.readout.p01 = clampError(c.readout.p01 * d.inflation);
+    c.readout.p10 = clampError(c.readout.p10 * d.inflation);
+    c.coherentRxRad *= d.coherentInflation;
+    return c;
+}
+
+double
+CalibrationTracker::actualCxError(const Drift &d, double baseError)
+{
+    return clampError(calibratedCxError(baseError, d.quality) *
+                      d.inflation);
+}
+
+double
+CalibrationTracker::actualCxPhase(const Drift &d, double basePhase)
+{
+    return basePhase * d.quality * d.coherentInflation;
+}
+
 CalibrationSnapshot
 CalibrationTracker::actual(double tH) const
 {
-    std::size_t idx = calIndex(tH);
-    CalibrationSnapshot s = snapshotAtCalibration(idx);
-    double infl = errorInflation(tH);
-    double since = hoursSinceCalibration(tH);
-    double coherenceF =
-        1.0 / (1.0 + params_.coherenceDriftPerHour * since);
-    // Coherent miscalibration drifts more slowly than stochastic error
-    // rates (it is a control-pulse detuning, not a decoherence budget).
-    double coherentInfl = std::sqrt(infl);
-    for (QubitCalibration &q : s.qubits) {
-        q.t1Us *= coherenceF;
-        q.t2Us = std::min(q.t2Us * coherenceF, 2.0 * q.t1Us);
-        q.gate1qError = clampError(q.gate1qError * infl);
-        q.readout.p01 = clampError(q.readout.p01 * infl);
-        q.readout.p10 = clampError(q.readout.p10 * infl);
-        q.coherentRxRad *= coherentInfl;
-    }
+    const Drift d = driftAt(tH);
+    CalibrationSnapshot s = base_;
+    for (std::size_t q = 0; q < s.qubits.size(); ++q)
+        s.qubits[q] = actualQubit(d, static_cast<int>(q));
     for (auto &[k, v] : s.cxError)
-        v = clampError(v * infl);
+        v = actualCxError(d, v);
     for (auto &[k, v] : s.cxPhaseRad)
-        v *= coherentInfl;
+        v = actualCxPhase(d, v);
     s.timeH = tH;
     return s;
 }

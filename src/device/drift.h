@@ -97,8 +97,40 @@ class CalibrationTracker
      */
     CalibrationSnapshot reported(double tH) const;
 
-    /** The *true* noise at time t (drift and incidents applied). */
+    /**
+     * The drift of time t that every qubit and pair shares: the
+     * calibration cycle's quality factor, the error inflation and the
+     * coherence decay since that calibration.
+     */
+    struct Drift
+    {
+        double quality = 1.0;
+        double inflation = 1.0;
+        double coherentInflation = 1.0;
+        double coherenceDecay = 1.0;
+    };
+
+    /** The drift at time t (see actualQubit() / actualCxError()). */
+    Drift driftAt(double tH) const;
+
+    /** The *true* calibration of qubit @p q under drift @p d. */
+    QubitCalibration actualQubit(const Drift &d, int q) const;
+
+    /** The *true* CX error of a pair whose base error is @p baseError. */
+    static double actualCxError(const Drift &d, double baseError);
+
+    /** The *true* coherent CX phase of a pair (base phase @p basePhase). */
+    static double actualCxPhase(const Drift &d, double basePhase);
+
+    /**
+     * The *true* noise at time t (drift and incidents applied): every
+     * qubit through actualQubit() and every pair through
+     * actualCxError() / actualCxPhase() at driftAt(tH).
+     */
     CalibrationSnapshot actual(double tH) const;
+
+    /** The factory calibration the timeline drifts from. */
+    const CalibrationSnapshot &base() const { return base_; }
 
     /** Time of the most recent calibration at or before t. */
     double lastCalibrationTime(double tH) const;

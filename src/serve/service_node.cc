@@ -596,11 +596,11 @@ ServiceNode::workloadPCorrect(const Workload &w, std::size_t member,
 {
     if (w.quality[member].empty())
         return 0.0;
-    CalibrationSnapshot reported =
+    const std::shared_ptr<const CalibrationSnapshot> reported =
         members_[member].backend->reportedCalibration(atH);
     double sum = 0.0;
     for (const CircuitQuality &q : w.quality[member])
-        sum += pCorrect(q, reported, options_.pCorrectMode);
+        sum += pCorrect(q, *reported, options_.pCorrectMode);
     return sum / static_cast<double>(w.quality[member].size());
 }
 

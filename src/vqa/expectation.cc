@@ -181,11 +181,10 @@ ExpectationEstimator::estimateBatch(QuantumBackend &backend,
                   "compilation mismatch");
     }
 
-    CalibrationSnapshot reported;
+    std::shared_ptr<const CalibrationSnapshot> reported;
     if (mitigateReadout)
         reported = backend.reportedCalibration(atTimeH);
-    const CalibrationSnapshot *rep =
-        mitigateReadout ? &reported : nullptr;
+    const CalibrationSnapshot *rep = reported.get();
 
     // One parent draw seeds a per-execution fork lattice: every
     // (evaluation, group) circuit gets its own stream, so the parent

@@ -391,6 +391,48 @@ TEST(Backend, ExecuteProbabilitiesArePinnedBitwise)
     EXPECT_EQ(toronto, wantToronto);
 }
 
+// A batch builds noise only for the qubits and CX pairs its circuits
+// use. Lay a 4-qubit circuit out by hand on Toronto's physical qubits
+// 21, 23, 24 and 25 (far from qubit 0; the coupled path 21-23-24-25)
+// with CXs on pairs (21, 23) and (24, 25), and pin two bindings' exact
+// probabilities at three hours.
+TEST(Backend, WideChipBatchProbabilitiesArePinnedBitwise)
+{
+    Device dev = deviceByName("ibmq_toronto");
+    SimulatedQpu qpu(dev, 11);
+    QuantumCircuit c(4, 4);
+    for (int q = 0; q < 4; ++q)
+        c.ry(q, ParamExpr::symbol(q));
+    c.cx(0, 1);
+    c.cx(3, 2);
+    for (int q = 0; q < 4; ++q)
+        c.rx(q, ParamExpr::constant(0.25 + 0.3 * q));
+    c.cx(1, 0);
+    c.measureAll();
+    TranspileOptions trivial;
+    trivial.useGreedyLayout = false;
+    TranspiledCircuit tc = transpile(c, CouplingMap::line(4), trivial);
+    ASSERT_EQ(tc.swapCount, 0);
+    ASSERT_EQ(tc.compactToPhysical, (std::vector<int>{0, 1, 2, 3}));
+    tc.compactToPhysical = {21, 23, 24, 25};
+
+    const std::vector<double> a = {0.4, -1.1, 2.3, 0.7};
+    const std::vector<double> b = {-0.9, 0.6, 1.7, -2.2};
+    Rng rng(3);
+    std::vector<uint64_t> got;
+    for (double h : {0.75, 19.5, 60.25}) {
+        std::vector<JobResult> runs = qpu.executeBatch(
+            {{&tc, &a, &rng}, {&tc, &b, &rng}}, 1024, h, false);
+        for (const JobResult &r : runs)
+            got.push_back(probabilityDigest(r.probabilities));
+    }
+    const std::vector<uint64_t> want = {
+        0x8F7FB49038D1F545ULL, 0xF47F7EB8C4C6C7AFULL,
+        0xA4521B15605DBECDULL, 0x30CB772967C15BB4ULL,
+        0x6DC3D882B7864793ULL, 0xB6B64858AE0E6E45ULL};
+    EXPECT_EQ(got, want);
+}
+
 /**
  * The circuits and bindings of one batch. Items point into the deques,
  * so a spec is built in place and never moved.
