@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/task_pool.h"
 #include "quantum/density_matrix.h"
+#include "quantum/kernel.h"
 #include "quantum/kraus.h"
 #include "quantum/statevector.h"
 #include "sim/fusion.h"
@@ -26,6 +27,10 @@ struct SimulatedQpu::ExecPlan
     std::vector<int> measured;
     /** Physical (min, max) pairs of the circuit's CXs, sorted, unique. */
     std::vector<std::pair<int, int>> cxPairs;
+    /** Per compact qubit: the last noisy op on it (-1: none). */
+    std::vector<int> lastOp;
+    /** costTo[d]: kernel cost of noisy ops [0, d), a 2q op counting 4. */
+    std::vector<std::size_t> costTo;
     /**
      * Wall-clock duration of one execution (microseconds). Gate times
      * never drift (only error rates and coherences do), so this is a
@@ -245,6 +250,15 @@ SimulatedQpu::planFor(const TranspiledCircuit &tc)
                 std::minmax(plan->physOf[op.qubits[0]],
                             plan->physOf[op.qubits[1]]));
     }
+    plan->lastOp.assign(plan->numQubits, -1);
+    plan->costTo.assign(1, 0);
+    for (std::size_t d = 0; d < plan->noisy.ops.size(); ++d) {
+        const FusedOp &op = plan->noisy.ops[d];
+        plan->lastOp[op.q0] = static_cast<int>(d);
+        if (op.twoQubit)
+            plan->lastOp[op.q1] = static_cast<int>(d);
+        plan->costTo.push_back(plan->costTo.back() + (op.twoQubit ? 4 : 1));
+    }
     std::sort(plan->cxPairs.begin(), plan->cxPairs.end());
     plan->cxPairs.erase(
         std::unique(plan->cxPairs.begin(), plan->cxPairs.end()),
@@ -363,22 +377,401 @@ SimulatedQpu::reportedCalibration(double tH) const
 }
 
 /**
- * The walk of one batch's noisy items over a prefix tree of their
- * NoisePreserving fused programs. Items that agree on fused ops
- * [0, d) share one state after them; the tree branches where their op
- * d differs (sameOp()). Ops are applied in program order on every
- * path, so each item's state is the one a lone execution builds, bit
- * for bit.
+ * One batch's noisy walk, planned in full before any kernel runs (see
+ * BatchPlanner): a table of compiled channels and a flat list of steps
+ * over at most two density matrices, the working state and the anchor
+ * (one saved branch state). Read-only once planned, so pool chunks
+ * share it freely.
  */
-struct SimulatedQpu::BatchWalk
+struct SimulatedQpu::BatchSchedule
+{
+    /**
+     * One fused op with its calibration noise, compiled to one
+     * DensityMatrix call. Ops at one tree depth that pass sameOp()
+     * share one channel.
+     */
+    struct Channel
+    {
+        enum class Kind : uint8_t {
+            None,     ///< virtual op with no terms: nothing to apply
+            Gate1,    ///< 1q unitary m (virtual RZs, or noise-free SX/X)
+            Diag1,    ///< 1q diagonal m[0..1] (takes the dead mask)
+            Gate2,    ///< 2q unitary m (incl. a noise-free CX)
+            Diag2,    ///< 2q diagonal m[0..3]
+            Thermal,  ///< explicit idle: thermal relaxation only
+            Superop1, ///< SX/X: N1 * (W (x) conj(W)) (takes the mask)
+            Cx,       ///< noisy CX: unitary m, depolarizing, thermal
+        };
+        Kind kind = Kind::None;
+        int q0 = -1, q1 = -1;
+        double err = 0.0;
+        double gamma0 = 0.0, coherence0 = 1.0;
+        double gamma1 = 0.0, coherence1 = 1.0;
+        Complex m[16];
+
+        void
+        apply(DensityMatrix &dm, uint64_t dead) const
+        {
+            switch (kind) {
+              case Kind::None:
+                break;
+              case Kind::Gate1:
+                dm.applyGate1(m, q0);
+                break;
+              case Kind::Diag1:
+                dm.applyDiag1(m, q0, dead);
+                break;
+              case Kind::Gate2:
+                dm.applyGate2(m, q0, q1);
+                break;
+              case Kind::Diag2:
+                dm.applyDiag2(m, q0, q1);
+                break;
+              case Kind::Thermal:
+                dm.applyThermalRelaxation(q0, gamma0, coherence0);
+                break;
+              case Kind::Superop1:
+                dm.applyChannelSuperop1(m, q0, dead);
+                break;
+              case Kind::Cx:
+                dm.applyGate2DepolThermal2q(m, err, q0, gamma0, coherence0,
+                                            q1, gamma1, coherence1);
+                break;
+            }
+        }
+
+        /** The pass honours a dead-qubit mask. */
+        bool
+        prunes() const
+        {
+            return kind == Kind::Diag1 || kind == Kind::Superop1;
+        }
+
+        /** Qubits its kernel passes act on. */
+        int
+        arity() const
+        {
+            return kind == Kind::Gate2 || kind == Kind::Diag2 ||
+                           kind == Kind::Cx
+                       ? 2
+                       : 1;
+        }
+
+        /**
+         * Kernel passes apply() makes: a noisy CX folds its unitary
+         * into the noise pass only when it is a permutation-phase gate
+         * (DensityMatrix::applyGate2DepolThermal2q).
+         */
+        int
+        passes() const
+        {
+            if (kind == Kind::None)
+                return 0;
+            if (kind != Kind::Cx)
+                return 1;
+            Complex diag[4];
+            detail::PermPhase pp;
+            return detail::classifyGate(m, 4, diag, pp) ==
+                           detail::GateKind::PermPhase
+                       ? 1
+                       : 2;
+        }
+    };
+
+    struct Step
+    {
+        enum class Kind : uint8_t {
+            Apply,    ///< channels[arg] on the working state
+            Save,     ///< anchor = working state
+            Load,     ///< working state = anchor
+            Take,     ///< swap them: the anchor's last use
+            Rebuild,  ///< working state = base (|0><0| when none)
+            Read,     ///< item arg's probabilities from the state
+            CopyRead, ///< item arg takes item from's probabilities
+        };
+        Kind kind;
+        uint32_t arg = 0;
+        uint32_t from = 0;
+        /** Apply: the finished qubits (see detail::LiveBlocks1q). */
+        uint64_t dead = 0;
+    };
+
+    /**
+     * One circuit width's tree. Its trunk segment runs from |0><0|; on
+     * a multi-thread pool the trunk ends at the first branch and each
+     * class there is a segment of its own, run from a copy of the
+     * trunk's final state (the base of its restores).
+     */
+    struct Tree
+    {
+        int numQubits = 0;
+        uint32_t trunk = 0; ///< segment index
+        uint32_t fans = 0;  ///< class segments trunk+1 .. trunk+fans
+    };
+
+    std::vector<Channel> channels;
+    std::vector<Step> steps;
+    /** Segment s is steps [segmentEnd[s - 1], segmentEnd[s]). */
+    std::vector<uint32_t> segmentEnd;
+    std::vector<Tree> trees;
+
+    /** The blocks its apply steps' kernel passes process. */
+    BatchWork
+    work() const
+    {
+        BatchWork w;
+        for (const Tree &tree : trees) {
+            const uint32_t end = segmentEnd[tree.trunk + tree.fans];
+            for (uint32_t k = tree.trunk ? segmentEnd[tree.trunk - 1] : 0;
+                 k < end; ++k) {
+                if (steps[k].kind != Step::Kind::Apply)
+                    continue;
+                const Channel &ch = channels[steps[k].arg];
+                const uint64_t blocks =
+                    static_cast<uint64_t>(ch.passes())
+                    << (2 * (tree.numQubits - ch.arity()));
+                w.unprunedBlocks += blocks;
+                w.blocks += blocks >> __builtin_popcountll(steps[k].dead);
+            }
+        }
+        return w;
+    }
+
+    /** Run segment @p seg on @p state, restoring from @p base. */
+    void
+    runSegment(uint32_t seg, DensityMatrix &state,
+               std::unique_ptr<DensityMatrix> &anchor,
+               const DensityMatrix *base,
+               std::vector<std::vector<double>> &probs) const
+    {
+        const uint32_t end = segmentEnd[seg];
+        for (uint32_t k = seg ? segmentEnd[seg - 1] : 0; k < end; ++k) {
+            const Step &st = steps[k];
+            switch (st.kind) {
+              case Step::Kind::Apply:
+                channels[st.arg].apply(state, st.dead);
+                break;
+              case Step::Kind::Save:
+                if (anchor)
+                    *anchor = state;
+                else
+                    anchor = std::make_unique<DensityMatrix>(state);
+                break;
+              case Step::Kind::Load:
+                state = *anchor;
+                break;
+              case Step::Kind::Take:
+                std::swap(state, *anchor);
+                break;
+              case Step::Kind::Rebuild:
+                if (base)
+                    state = *base;
+                else
+                    state.reset();
+                break;
+              case Step::Kind::Read:
+                probs[st.arg] = state.probabilities();
+                break;
+              case Step::Kind::CopyRead:
+                probs[st.arg] = probs[st.from];
+                break;
+            }
+        }
+    }
+
+    /** Run every tree: per item, the exact probabilities. */
+    void
+    run(TaskPool &pool, std::vector<std::vector<double>> &probs) const
+    {
+        for (const Tree &tree : trees) {
+            DensityMatrix state(tree.numQubits);
+            std::unique_ptr<DensityMatrix> anchor;
+            runSegment(tree.trunk, state, anchor, nullptr, probs);
+            if (tree.fans == 0)
+                continue;
+            // Each pool chunk walks its classes serially over its own
+            // two density matrices (nested in a busy pool, inline).
+            pool.parallelJobs(tree.fans, [&](uint64_t b, uint64_t e) {
+                DensityMatrix sub = state;
+                std::unique_ptr<DensityMatrix> subAnchor;
+                for (uint64_t c = b; c < e; ++c) {
+                    if (c != b)
+                        sub = state;
+                    runSegment(tree.trunk + 1 + static_cast<uint32_t>(c),
+                               sub, subAnchor, &state, probs);
+                }
+            });
+        }
+    }
+};
+
+/**
+ * Plans one batch's noisy items as a prefix tree of their
+ * NoisePreserving fused programs. Items that agree on fused ops [0, d)
+ * share one state after them; the tree branches where their op d
+ * differs (sameOp()). Ops are applied in program order on every path,
+ * so each item's state is the one a lone execution builds, bit for
+ * bit.
+ *
+ * Per circuit width, first every depth's ops are sorted into channel
+ * classes over all the tree's items (which also names the tree: two
+ * items share a node while they share every channel so far), then the
+ * walk is laid out as steps. At a branch the first class continues in
+ * place. Every other class restarts from the nearest state on hand:
+ * the branch's own state in the anchor (its last class takes the
+ * anchor's buffer and frees it), an ancestor branch's state there, or
+ * else the base, replaying the shared ops since. A branch saves its
+ * state in the anchor when it is free, or takes it from the ancestor
+ * holding it when that ancestor's one rebuild from the base costs less
+ * than the replays this branch's classes would make.
+ *
+ * Each apply also carries the qubits finished for every item below it
+ * (no op from its depth on touches them), whose unread blocks its pass
+ * may skip; a replay carries the mask of the branch it rebuilds. All
+ * node member lists live in one reused buffer, partitioned in place.
+ */
+struct SimulatedQpu::BatchPlanner
 {
     const NoiseContext &nc;
     const std::vector<ExecItem> &items;
-    /** Per item: its plan (one lookup per distinct circuit). */
     const std::vector<const ExecPlan *> &planOf;
-    /** Per item: the exact state probabilities at its program's end. */
-    std::vector<std::vector<double>> &probs;
-    TaskPool &pool;
+    BatchSchedule sched;
+
+    /** Qubits a dead mask can name. */
+    static constexpr int kMaxQubits = 64;
+
+    /** This tree's members; node ranges are partitioned in place. */
+    std::vector<int> order;
+    std::vector<int> scratch;
+    /** Item i's op d runs chanAt[chanBase[i] + d]. */
+    std::vector<uint32_t> chanBase;
+    /** Per item: the previous member with its plan (-1: none). */
+    std::vector<int> samePlan;
+    std::vector<uint32_t> chanAt;
+    /** One depth's classes: (representative item, channel). */
+    std::vector<std::pair<int, uint32_t>> reps;
+    /** Class boundaries of the open branches, a stack. */
+    std::vector<uint32_t> bounds;
+
+    // The serial walker being simulated (see BatchSchedule).
+    int numQubits = 0;
+    bool fanOut = false;
+    bool anchored = false;
+    std::size_t anchorDepth = 0;
+    std::size_t baseDepth = 0;
+
+    BatchPlanner(const NoiseContext &noise,
+                 const std::vector<ExecItem> &batch,
+                 const std::vector<const ExecPlan *> &plans)
+        : nc(noise), items(batch), planOf(plans)
+    {
+    }
+
+    /** Plan every width's tree (@p fan: fan the first branch out). */
+    BatchSchedule
+    plan(bool fan)
+    {
+        const std::size_t count = items.size();
+        // Items mostly share their ops: room for twice the longest
+        // program's channels, and as many steps again as ops, covers
+        // a gradient batch without regrowth.
+        std::size_t longest = 0;
+        for (const ExecPlan *p : planOf)
+            longest = std::max(longest, p->noisy.ops.size());
+        sched.channels.reserve(2 * longest);
+        sched.steps.reserve(4 * longest + 2 * count);
+        sched.segmentEnd.reserve(2 * count);
+        order.reserve(count);
+        reps.reserve(count);
+        bounds.reserve(2 * count + 2);
+        chanBase.assign(count, 0);
+        samePlan.assign(count, -1);
+        std::vector<char> done(count, 0);
+        for (std::size_t i = 0; i < count; ++i) {
+            if (done[i])
+                continue;
+            numQubits = planOf[i]->numQubits;
+            if (numQubits > kMaxQubits)
+                panic("SimulatedQpu::executeBatch: circuit too wide");
+            order.clear();
+            for (std::size_t j = i; j < count; ++j) {
+                if (planOf[j]->numQubits == numQubits) {
+                    order.push_back(static_cast<int>(j));
+                    done[j] = 1;
+                }
+            }
+            classify();
+            BatchSchedule::Tree &tree = sched.trees.emplace_back();
+            tree.numQubits = numQubits;
+            tree.trunk = static_cast<uint32_t>(sched.segmentEnd.size());
+            fanOut = fan;
+            anchored = false;
+            baseDepth = 0;
+            int last[kMaxQubits];
+            lastOps(0, static_cast<uint32_t>(order.size()), last);
+            descend(0, static_cast<uint32_t>(order.size()), 0, last);
+            if (sched.segmentEnd.size() == tree.trunk)
+                closeSegment();
+        }
+        return std::move(sched);
+    }
+
+    std::size_t
+    length(int i) const
+    {
+        return planOf[i]->noisy.ops.size();
+    }
+
+    uint32_t
+    chan(int i, std::size_t d) const
+    {
+        return chanAt[chanBase[i] + d];
+    }
+
+    /** Sort every depth's ops of the tree's items into channels. */
+    void
+    classify()
+    {
+        std::size_t total = 0, depth = 0;
+        for (std::size_t k = 0; k < order.size(); ++k) {
+            const int i = order[k];
+            chanBase[i] = static_cast<uint32_t>(total);
+            total += length(i);
+            depth = std::max(depth, length(i));
+            for (std::size_t j = k; j-- > 0;) {
+                if (planOf[order[j]] == planOf[i]) {
+                    samePlan[i] = order[j];
+                    break;
+                }
+            }
+        }
+        chanAt.resize(total);
+        for (std::size_t d = 0; d < depth; ++d) {
+            reps.clear();
+            for (int i : order) {
+                if (length(i) <= d)
+                    continue;
+                // Most often the op of the last item on this circuit.
+                const int j = samePlan[i];
+                if (j >= 0 && sameParams(j, i, d)) {
+                    chanAt[chanBase[i] + d] = chan(j, d);
+                    continue;
+                }
+                auto r = std::find_if(
+                    reps.begin(), reps.end(),
+                    [&](const std::pair<int, uint32_t> &rep) {
+                        return sameOp(rep.first, i, d);
+                    });
+                if (r == reps.end()) {
+                    reps.emplace_back(
+                        i, static_cast<uint32_t>(sched.channels.size()));
+                    compile(i, d);
+                    r = reps.end() - 1;
+                }
+                chanAt[chanBase[i] + d] = r->second;
+            }
+        }
+    }
 
     /**
      * true when items @p a and @p b apply the same channel as their
@@ -388,6 +781,8 @@ struct SimulatedQpu::BatchWalk
     bool
     sameOp(int a, int b, std::size_t d) const
     {
+        if (planOf[a] == planOf[b])
+            return sameParams(a, b, d);
         const ExecPlan &pa = *planOf[a];
         const ExecPlan &pb = *planOf[b];
         const FusedOp &x = pa.noisy.ops[d];
@@ -427,47 +822,77 @@ struct SimulatedQpu::BatchWalk
                            count * sizeof(Complex)) == 0;
     }
 
+    /**
+     * sameOp() for items @p a and @p b on one plan: their op @p d is
+     * one FusedOp, so only the parameter values it reads can differ.
+     */
+    bool
+    sameParams(int a, int b, std::size_t d) const
+    {
+        const std::vector<double> &va = *items[a].params;
+        const std::vector<double> &vb = *items[b].params;
+        if (&va == &vb)
+            return true;
+        const FusedProgram &prog = planOf[a]->noisy;
+        const FusedOp &x = prog.ops[d];
+        for (int t = x.termBegin; t < x.termEnd; ++t) {
+            const FusedTerm &term = prog.terms[t];
+            for (int k = 0; k < term.numParams; ++k) {
+                const int idx = term.params[k].index;
+                if (idx >= 0 && !sameBits(va[idx], vb[idx]))
+                    return false;
+            }
+        }
+        return true;
+    }
+
     static bool
     sameBits(double a, double b)
     {
         return std::memcmp(&a, &b, sizeof(double)) == 0;
     }
 
-    /** Apply item @p i's fused op @p d, with its calibration noise. */
+    /** Compile item @p i's fused op @p d, with its calibration noise. */
     void
-    apply(DensityMatrix &dm, int i, std::size_t d) const
+    compile(int i, std::size_t d)
     {
+        using Kind = BatchSchedule::Channel::Kind;
         const ExecPlan &plan = *planOf[i];
         const FusedOp &op = plan.noisy.ops[d];
-        const std::vector<double> &params = *items[i].params;
-        Complex scratch[16];
+        BatchSchedule::Channel &ch = sched.channels.emplace_back();
+        ch.q0 = op.q0;
+        ch.q1 = op.q1;
         // Evaluate the fused unitary (symbolic ops rebuild their at
         // most 4x4 product; gate+noise sequences below fold it into
         // one channel superoperator instead of applying it here).
+        Complex scratch16[16];
         const Complex *u = op.entries;
         const bool hasUnitary = op.termBegin != op.termEnd;
         if (hasUnitary && op.symbolic) {
-            fusedEntries(plan.noisy, op, params, scratch);
-            u = scratch;
+            fusedEntries(plan.noisy, op, *items[i].params, scratch16);
+            u = scratch16;
         }
 
         switch (op.primary) {
-          case GateType::RZ:
+          case GateType::RZ: {
             // Virtual-only op: implemented in software, no noise.
-            if (hasUnitary) {
-                if (op.twoQubit)
-                    op.diagonal ? dm.applyDiag2(u, op.q0, op.q1)
-                                : dm.applyGate2(u, op.q0, op.q1);
-                else
-                    op.diagonal ? dm.applyDiag1(u, op.q0)
-                                : dm.applyGate1(u, op.q0);
-            }
+            if (!hasUnitary)
+                break;
+            const int sub = op.twoQubit ? 4 : 2;
+            std::copy(u, u + (op.diagonal ? sub : sub * sub), ch.m);
+            if (op.twoQubit)
+                ch.kind = op.diagonal ? Kind::Diag2 : Kind::Gate2;
+            else
+                ch.kind = op.diagonal ? Kind::Diag1 : Kind::Gate1;
             break;
+          }
           case GateType::ID: {
             // Explicit idle: thermal relaxation only, no unitary.
             const NoiseContext::QubitNoise &qn =
                 nc.qubit(plan.physOf[op.q0]);
-            dm.applyThermalRelaxation(op.q0, qn.g1Gamma, qn.g1Coherence);
+            ch.kind = Kind::Thermal;
+            ch.gamma0 = qn.g1Gamma;
+            ch.coherence0 = qn.g1Coherence;
             break;
           }
           case GateType::SX:
@@ -485,10 +910,11 @@ struct SimulatedQpu::BatchWalk
             else
                 std::memcpy(w, u, sizeof(w));
             if (qn.n1Trivial) {
-                dm.applyGate1(w, op.q0);
+                ch.kind = Kind::Gate1;
+                std::memcpy(ch.m, w, sizeof(w));
                 break;
             }
-            Complex m[16], s[16];
+            Complex m[16];
             for (int kp = 0; kp < 2; ++kp)
                 for (int bp = 0; bp < 2; ++bp)
                     for (int k = 0; k < 2; ++k)
@@ -496,8 +922,8 @@ struct SimulatedQpu::BatchWalk
                             m[(kp + 2 * bp) * 4 + (k + 2 * b)] =
                                 w[kp * 2 + k] *
                                 std::conj(w[bp * 2 + b]);
-            matMul(s, qn.n1, m, 4);
-            dm.applyChannelSuperop1(s, op.q0);
+            matMul(ch.m, qn.n1, m, 4);
+            ch.kind = Kind::Superop1;
             break;
           }
           case GateType::CX: {
@@ -506,29 +932,30 @@ struct SimulatedQpu::BatchWalk
             const auto key = std::minmax(p0, p1);
             const NoiseContext::CxNoise &cn =
                 nc.cxFor(key.first, key.second);
-            const Complex *w = u;
-            Complex w2[16];
             if (cn.hasZz) {
                 // Residual ZZ phase accompanying the CX pulse
                 // (swap-symmetric diagonal, orientation-free):
                 // fold it into the fused unitary's entries.
                 for (int r = 0; r < 4; ++r)
                     for (int c = 0; c < 4; ++c)
-                        w2[r * 4 + c] = cn.zz[r] * u[r * 4 + c];
-                w = w2;
+                        ch.m[r * 4 + c] = cn.zz[r] * u[r * 4 + c];
+            } else {
+                std::copy(u, u + 16, ch.m);
             }
             if (cn.trivial) {
-                dm.applyGate2(w, op.q0, op.q1);
+                ch.kind = Kind::Gate2;
                 break;
             }
             // One block-local pass for the unitary, depolarizing
-            // and both endpoints' thermal relaxation.
+            // and both endpoints' thermal relaxation (two when the
+            // unitary is no permutation-phase gate to fold).
+            ch.kind = Kind::Cx;
             const bool lo0 = p0 == key.first;
-            dm.applyGate2DepolThermal2q(
-                w, cn.err, op.q0, lo0 ? cn.gammaLo : cn.gammaHi,
-                lo0 ? cn.cohLo : cn.cohHi, op.q1,
-                lo0 ? cn.gammaHi : cn.gammaLo,
-                lo0 ? cn.cohHi : cn.cohLo);
+            ch.err = cn.err;
+            ch.gamma0 = lo0 ? cn.gammaLo : cn.gammaHi;
+            ch.coherence0 = lo0 ? cn.cohLo : cn.cohHi;
+            ch.gamma1 = lo0 ? cn.gammaHi : cn.gammaLo;
+            ch.coherence1 = lo0 ? cn.cohHi : cn.cohLo;
             break;
           }
           default:
@@ -537,201 +964,204 @@ struct SimulatedQpu::BatchWalk
         }
     }
 
-    /** Kernel cost of item @p i's ops [from, to): a 2q pass counts 4. */
+    /** Per qubit, the last op index any member of [lo, hi) runs on it. */
+    void
+    lastOps(uint32_t lo, uint32_t hi, int *last) const
+    {
+        std::fill(last, last + numQubits, -1);
+        for (uint32_t k = lo; k < hi; ++k) {
+            const std::vector<int> &own = planOf[order[k]]->lastOp;
+            for (int q = 0; q < numQubits; ++q)
+                last[q] = std::max(last[q], own[q]);
+        }
+    }
+
+    /** The qubits no op from depth @p d on touches, given @p last. */
+    uint64_t
+    deadAt(const int *last, std::size_t d) const
+    {
+        uint64_t dead = 0;
+        for (int q = 0; q < numQubits; ++q)
+            if (last[q] < static_cast<long>(d))
+                dead |= uint64_t{1} << q;
+        return dead;
+    }
+
+    void
+    emit(BatchSchedule::Step::Kind kind, uint32_t arg = 0,
+         uint32_t from = 0)
+    {
+        sched.steps.push_back({kind, arg, from, 0});
+    }
+
+    /** Apply channel @p c, skipping @p dead qubits where it can. */
+    void
+    emitApply(uint32_t c, uint64_t dead)
+    {
+        sched.steps.push_back({BatchSchedule::Step::Kind::Apply, c, 0,
+                               sched.channels[c].prunes() ? dead : 0});
+    }
+
+    void
+    closeSegment()
+    {
+        sched.segmentEnd.push_back(
+            static_cast<uint32_t>(sched.steps.size()));
+    }
+
     std::size_t
     cost(int i, std::size_t from, std::size_t to) const
     {
-        std::size_t c = 0;
-        for (std::size_t r = from; r < to; ++r)
-            c += planOf[i]->noisy.ops[r].twoQubit ? 4 : 1;
-        return c;
+        return planOf[i]->costTo[to] - planOf[i]->costTo[from];
     }
 
     /**
-     * One serial walk over at most two density matrices: the working
-     * state and the anchor, one saved branch state.
-     *
-     * At a branch the first class continues in place. Every other
-     * class restarts from the nearest state on hand: the branch's own
-     * state in the anchor (its last class takes the anchor's buffer and
-     * frees it), an ancestor branch's state there, or else the base, a
-     * read-only state (|0><0| for the whole tree), replaying the shared
-     * ops since. A branch saves its state in the anchor when it is
-     * free, or takes it from the ancestor holding it when that
-     * ancestor's one rebuild from the base costs less than the replays
-     * this branch's classes would make.
+     * Lay out the subtree of members order[lo, hi): items that share
+     * fused ops [0, @p depth), whose state after them the walk holds.
+     * @p last: lastOps() of those members.
      */
-    struct Walker
+    void
+    descend(uint32_t lo, uint32_t hi, std::size_t depth, const int *last)
     {
-        Walker(const BatchWalk &walk, DensityMatrix start,
-               const DensityMatrix *baseState, std::size_t depth,
-               bool fanOutFirst)
-            : bw(walk), work(std::move(start)), base(baseState),
-              baseDepth(depth), fanOut(fanOutFirst)
-        {
-        }
-
-        const BatchWalk &bw;
-        DensityMatrix work;
-        /** The state after ops [0, baseDepth); null means |0><0|. */
-        const DensityMatrix *base;
-        std::size_t baseDepth;
-        /** Fan the classes of the first branch out through the pool. */
-        bool fanOut;
-        std::unique_ptr<DensityMatrix> anchor; ///< allocated on first use
-        /**
-         * The anchor holds the state of the active branch at
-         * anchorDepth. Active branches (the one being walked and its
-         * ancestors) have distinct depths, and each frees the anchor
-         * when its last class takes it, so the depth names the owner.
-         */
-        bool anchored = false;
-        std::size_t anchorDepth = 0;
-
-        /**
-         * Walk the subtree of @p members: items that share fused ops
-         * [0, @p depth), whose state after them work holds.
-         */
-        void
-        descend(std::vector<int> members, std::size_t depth)
-        {
-            for (;;) {
-                // Advance while every member continues with one op.
-                const int lead = members.front();
-                while (std::all_of(
-                    members.begin(), members.end(), [&](int i) {
-                        return bw.planOf[i]->noisy.ops.size() > depth &&
-                               bw.sameOp(lead, i, depth);
-                    }))
-                    bw.apply(work, lead, depth++);
-
-                // Items whose program ends here read the state once.
-                std::vector<int> live;
-                const std::vector<double> *read = nullptr;
-                for (int i : members) {
-                    if (bw.planOf[i]->noisy.ops.size() != depth) {
-                        live.push_back(i);
-                    } else if (!read) {
-                        bw.probs[i] = work.probabilities();
-                        read = &bw.probs[i];
-                    } else {
-                        bw.probs[i] = *read;
-                    }
+        for (;; ++depth) {
+            // Items whose program ends here read the state once; the
+            // others stay, in order.
+            uint32_t live = lo;
+            int reader = -1;
+            for (uint32_t k = lo; k < hi; ++k) {
+                const int i = order[k];
+                if (length(i) != depth) {
+                    order[live++] = i;
+                } else if (reader < 0) {
+                    emit(BatchSchedule::Step::Kind::Read,
+                         static_cast<uint32_t>(i));
+                    reader = i;
+                } else {
+                    emit(BatchSchedule::Step::Kind::CopyRead,
+                         static_cast<uint32_t>(i),
+                         static_cast<uint32_t>(reader));
                 }
-                if (live.empty())
-                    return;
+            }
+            hi = live;
+            if (lo == hi)
+                return;
 
-                // Classes of op identity at this depth, in order of
-                // first appearance.
-                std::vector<std::vector<int>> classes;
-                for (int i : live) {
-                    auto c = std::find_if(
-                        classes.begin(), classes.end(),
-                        [&](const std::vector<int> &cl) {
-                            return bw.sameOp(cl[0], i, depth);
-                        });
-                    if (c == classes.end())
-                        classes.push_back({i});
-                    else
-                        c->push_back(i);
-                }
-                if (classes.size() == 1) {
-                    members = std::move(live);
-                    continue;
-                }
-                branch(classes, depth);
+            // Every member continues with one channel, or the tree
+            // branches here.
+            const uint32_t c = chan(order[lo], depth);
+            bool one = true;
+            for (uint32_t k = lo + 1; k < hi && one; ++k)
+                one = chan(order[k], depth) == c;
+            if (!one) {
+                branch(lo, hi, depth);
                 return;
             }
+            emitApply(c, deadAt(last, depth));
         }
+    }
 
-        /** Walk every class of a branch at @p depth. */
-        void
-        branch(std::vector<std::vector<int>> &classes, std::size_t depth)
-        {
-            const std::size_t k = classes.size();
-            if (fanOut) {
-                // The first branch on a multi-thread pool: this state
-                // is the base of one serial walk per pool chunk (nested
-                // in a busy pool, the chunks run inline).
-                bw.pool.parallelJobs(k, [&](uint64_t b, uint64_t e) {
-                    Walker sub{bw, work, &work, depth, false};
-                    for (uint64_t c = b; c < e; ++c) {
-                        if (c != b)
-                            sub.work = work;
-                        bw.apply(sub.work, classes[c][0], depth);
-                        sub.descend(std::move(classes[c]), depth + 1);
-                    }
-                });
-                return;
+    /** Lay out every class of the branch over order[lo, hi). */
+    void
+    branch(uint32_t lo, uint32_t hi, std::size_t depth)
+    {
+        const std::size_t first = bounds.size();
+        scratch.assign(order.begin() + lo, order.begin() + hi);
+        uint32_t pos = lo;
+        bounds.push_back(lo);
+        for (std::size_t j = 0; j < scratch.size(); ++j) {
+            if (scratch[j] < 0)
+                continue;
+            const uint32_t c = chan(scratch[j], depth);
+            for (std::size_t jj = j; jj < scratch.size(); ++jj) {
+                if (scratch[jj] >= 0 && chan(scratch[jj], depth) == c) {
+                    order[pos++] = scratch[jj];
+                    scratch[jj] = -1;
+                }
             }
-            const int rep = classes[0][0];
+            bounds.push_back(pos);
+        }
+        const std::size_t k = bounds.size() - first - 1;
+        const int rep = order[lo];
+        const bool fan = fanOut;
+        if (fan) {
+            // The first branch on a multi-thread pool: the trunk ends
+            // here, and each class is a segment of its own whose base
+            // is this state.
+            fanOut = false;
+            closeSegment();
+            sched.trees.back().fans = static_cast<uint32_t>(k);
+            baseDepth = depth;
+        } else if (!anchored || cost(rep, baseDepth, anchorDepth) <
+                                    (k - 1) * cost(rep, anchorDepth, depth)) {
             // Save this state when the anchor is free, or when the
             // ancestor's state it holds costs less to rebuild from the
             // base than this branch's classes would replay from it.
-            if (!anchored || bw.cost(rep, baseDepth, anchorDepth) <
-                                 (k - 1) * bw.cost(rep, anchorDepth, depth))
-                save(depth);
-            for (std::size_t c = 0; c < k; ++c) {
-                if (c > 0)
-                    restore(rep, depth, c + 1 == k);
-                bw.apply(work, classes[c][0], depth);
-                descend(std::move(classes[c]), depth + 1);
-            }
+            save(depth);
         }
+        int branchLast[kMaxQubits], last[kMaxQubits];
+        lastOps(lo, hi, branchLast);
+        for (std::size_t c = 0; c < k; ++c) {
+            const uint32_t cl = bounds[first + c];
+            const uint32_t ch = bounds[first + c + 1];
+            if (fan)
+                anchored = false;
+            else if (c > 0)
+                restore(rep, depth, c + 1 == k, branchLast);
+            lastOps(cl, ch, last);
+            emitApply(chan(order[cl], depth), deadAt(last, depth));
+            descend(cl, ch, depth + 1, last);
+            if (fan)
+                closeSegment();
+        }
+        bounds.resize(first);
+    }
 
-        /**
-         * Bring work back to the state of the branch at @p depth, for
-         * its next class (@p last: its final one).
-         */
-        void
-        restore(int rep, std::size_t depth, bool last)
-        {
-            if (anchored && anchorDepth == depth) {
-                if (last) {
-                    std::swap(work, *anchor);
-                    anchored = false;
-                } else {
-                    work = *anchor;
-                }
-                return;
-            }
-            // Otherwise a held anchor is an ancestor's state on this
-            // path.
-            std::size_t from = baseDepth;
-            if (anchored) {
-                work = *anchor;
-                from = anchorDepth;
-            } else if (base) {
-                work = *base;
+    /**
+     * Bring the state back to the branch at @p depth, for its next
+     * class (@p last: its final one); @p branchLast: the branch's
+     * lastOps(), whose masks the replayed ops take.
+     */
+    void
+    restore(int rep, std::size_t depth, bool last, const int *branchLast)
+    {
+        if (anchored && anchorDepth == depth) {
+            if (last) {
+                emit(BatchSchedule::Step::Kind::Take);
+                anchored = false;
             } else {
-                work.reset();
+                emit(BatchSchedule::Step::Kind::Load);
             }
-            for (std::size_t r = from; r < depth; ++r)
-                bw.apply(work, rep, r);
-            if (!anchored && !last)
-                save(depth);
+            return;
         }
+        // Otherwise a held anchor is an ancestor's state on this path.
+        std::size_t from = baseDepth;
+        if (anchored) {
+            emit(BatchSchedule::Step::Kind::Load);
+            from = anchorDepth;
+        } else {
+            emit(BatchSchedule::Step::Kind::Rebuild);
+        }
+        for (std::size_t r = from; r < depth; ++r)
+            emitApply(chan(rep, r), deadAt(branchLast, r));
+        if (!anchored && !last)
+            save(depth);
+    }
 
-        void
-        save(std::size_t depth)
-        {
-            if (anchor)
-                *anchor = work;
-            else
-                anchor = std::make_unique<DensityMatrix>(work);
-            anchored = true;
-            anchorDepth = depth;
-        }
-    };
+    void
+    save(std::size_t depth)
+    {
+        emit(BatchSchedule::Step::Kind::Save);
+        anchored = true;
+        anchorDepth = depth;
+    }
 };
 
-std::vector<JobResult>
-SimulatedQpu::executeBatch(const std::vector<ExecItem> &items, int shots,
-                           double atTimeH, bool sampleCounts,
-                           TaskPool *pool)
+std::vector<std::shared_ptr<const SimulatedQpu::ExecPlan>>
+SimulatedQpu::plansFor(const std::vector<ExecItem> &items,
+                       std::vector<const ExecPlan *> &planOf)
 {
     const std::size_t count = items.size();
-    std::vector<const ExecPlan *> planOf(count);
+    planOf.resize(count);
     // Owners of the looked-up plans; items naming one circuit share
     // one lookup.
     std::vector<std::shared_ptr<const ExecPlan>> plans;
@@ -749,7 +1179,30 @@ SimulatedQpu::executeBatch(const std::vector<ExecItem> &items, int shots,
             planOf[i] = plans.back().get();
         }
     }
+    return plans;
+}
 
+BatchWork
+SimulatedQpu::batchWork(const std::vector<ExecItem> &items, double atTimeH,
+                        TaskPool *pool)
+{
+    std::vector<const ExecPlan *> planOf;
+    const auto plans = plansFor(items, planOf);
+    const NoiseContext nc = noiseContextAt(atTimeH, plans);
+    if (nc.noiseless)
+        return {};
+    TaskPool &p = pool ? *pool : TaskPool::shared();
+    return BatchPlanner{nc, items, planOf}.plan(p.threadCount() > 1).work();
+}
+
+std::vector<JobResult>
+SimulatedQpu::executeBatch(const std::vector<ExecItem> &items, int shots,
+                           double atTimeH, bool sampleCounts,
+                           TaskPool *pool)
+{
+    const std::size_t count = items.size();
+    std::vector<const ExecPlan *> planOf;
+    const auto plans = plansFor(items, planOf);
     const NoiseContext nc = noiseContextAt(atTimeH, plans);
     TaskPool &p = pool ? *pool : TaskPool::shared();
     std::vector<std::vector<double>> probs(count);
@@ -764,24 +1217,11 @@ SimulatedQpu::executeBatch(const std::vector<ExecItem> &items, int shots,
             }
         });
     } else {
-        // One tree per circuit width, each from its own |0><0|.
-        const BatchWalk walk{nc, items, planOf, probs, p};
-        std::vector<char> done(count, 0);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (done[i])
-                continue;
-            const int n = planOf[i]->numQubits;
-            std::vector<int> members;
-            for (std::size_t j = i; j < count; ++j) {
-                if (planOf[j]->numQubits == n) {
-                    members.push_back(static_cast<int>(j));
-                    done[j] = 1;
-                }
-            }
-            BatchWalk::Walker walker{walk, DensityMatrix(n), nullptr, 0,
-                                     p.threadCount() > 1};
-            walker.descend(std::move(members), 0);
-        }
+        // The planner's scratch is freed before the density matrices
+        // are allocated.
+        const BatchSchedule schedule =
+            BatchPlanner{nc, items, planOf}.plan(p.threadCount() > 1);
+        schedule.run(p, probs);
     }
 
     std::vector<JobResult> results(count);

@@ -53,6 +53,19 @@ struct ExecItem
     Rng *rng = nullptr;
 };
 
+/**
+ * The density-matrix work of one SimulatedQpu::executeBatch, read off
+ * its schedule before anything runs: deterministic, and independent of
+ * the host.
+ */
+struct BatchWork
+{
+    /** (ket, bra) blocks the schedule's kernel passes process. */
+    uint64_t blocks = 0;
+    /** Those passes' blocks with no finished qubit's blocks skipped. */
+    uint64_t unprunedBlocks = 0;
+};
+
 /** Abstract execution target for transpiled circuits. */
 class QuantumBackend
 {
@@ -141,21 +154,37 @@ class SimulatedQpu : public QuantumBackend
     /**
      * Looks up each distinct plan once and builds one noise context
      * for @p atTimeH, covering the union of the plans' physical qubits
-     * and CX pairs. Noisy items then run as a prefix tree over
-     * their NoisePreserving fused programs: an op that several items
-     * share (same operator, physical qubits and bound parameter bits)
-     * is applied once, and op order is never changed, so every result
-     * is bit-identical to a lone execute(). On one thread the walk
-     * holds at most two density matrices: the working state and one
-     * saved branch state. On a multi-thread @p pool the classes of the
-     * first branch fan out, each pool chunk walking serially from that
-     * branch's state with its own two. Noiseless items run one by one
-     * on the statevector.
+     * and CX pairs. Noisy items are then planned, before any kernel
+     * runs, as a prefix tree over their NoisePreserving fused
+     * programs, and the plan is run:
+     *  - a channel table: ops at one tree depth that agree (same
+     *    operator, physical qubits and bound parameter bits) share one
+     *    compiled gate+noise channel, so the +- shift branches' common
+     *    suffix is composed once;
+     *  - a flat schedule of apply/save/restore/read steps: a shared op
+     *    is applied once, and op order is never changed, so every
+     *    result is bit-identical to a lone execute();
+     *  - per apply, the qubits no later op below it touches: its 1q
+     *    pass skips the blocks whose ket and bra bits differ on such a
+     *    qubit, which nothing reads (the result is the diagonal).
+     * On one thread the walk holds at most two density matrices: the
+     * working state and one saved branch state. On a multi-thread
+     * @p pool the classes of the first branch fan out, each pool chunk
+     * walking serially from that branch's state with its own two.
+     * Noiseless items run one by one on the statevector.
      */
     std::vector<JobResult> executeBatch(const std::vector<ExecItem> &items,
                                         int shots, double atTimeH,
                                         bool sampleCounts,
                                         TaskPool *pool = nullptr) override;
+
+    /**
+     * The density-matrix blocks executeBatch() on the same arguments
+     * would process, read off its schedule without running it (zero
+     * for a noiseless batch, which runs on the statevector).
+     */
+    BatchWork batchWork(const std::vector<ExecItem> &items, double atTimeH,
+                        TaskPool *pool = nullptr);
 
     const Device &device() const override { return dev_; }
 
@@ -209,11 +238,22 @@ class SimulatedQpu : public QuantumBackend
      */
     struct NoiseContext;
 
-    /** The prefix-tree walk of one batch (see executeBatch()). */
-    struct BatchWalk;
+    /** One batch's channels and steps (see executeBatch()). */
+    struct BatchSchedule;
+
+    /** Builds a BatchSchedule from a batch's items and plans. */
+    struct BatchPlanner;
 
     /** Cached plan for @p tc, building it on first sight. */
     std::shared_ptr<const ExecPlan> planFor(const TranspiledCircuit &tc);
+
+    /**
+     * Every item's plan into @p planOf, one lookup per distinct
+     * circuit; returns the plans' owners.
+     */
+    std::vector<std::shared_ptr<const ExecPlan>>
+    plansFor(const std::vector<ExecItem> &items,
+             std::vector<const ExecPlan *> &planOf);
 
     /**
      * The noise context at time @p tH for the physical qubits and CX

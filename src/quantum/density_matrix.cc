@@ -22,6 +22,13 @@ DensityMatrix::pool() const
     return pool_;
 }
 
+bool
+DensityMatrix::validDeadMask(uint64_t deadQubits, int qubit) const
+{
+    return (deadQubits >> numQubits_) == 0 &&
+           (deadQubits >> qubit & 1) == 0;
+}
+
 DensityMatrix::DensityMatrix(int numQubits)
     : numQubits_(numQubits),
       rho_(uint64_t{1} << (2 * numQubits), Complex(0, 0))
@@ -77,11 +84,13 @@ DensityMatrix::applyGate1(const Complex *u, int qubit)
 }
 
 void
-DensityMatrix::applyDiag1(const Complex *d, int qubit)
+DensityMatrix::applyDiag1(const Complex *d, int qubit, uint64_t deadQubits)
 {
-    if (qubit < 0 || qubit >= numQubits_)
-        panic("DensityMatrix::applyDiag1: qubit out of range");
-    detail::applySuperopDiag1(rho_.data(), numQubits_, d, qubit, pool());
+    if (qubit < 0 || qubit >= numQubits_ ||
+        !validDeadMask(deadQubits, qubit))
+        panic("DensityMatrix::applyDiag1: qubit or dead mask out of range");
+    detail::applySuperopDiag1(rho_.data(), numQubits_, d, qubit, pool(),
+                              deadQubits);
 }
 
 void
@@ -194,11 +203,14 @@ DensityMatrix::applyChannel(const KrausChannel &ch,
 }
 
 void
-DensityMatrix::applyChannelSuperop1(const Complex *s, int qubit)
+DensityMatrix::applyChannelSuperop1(const Complex *s, int qubit,
+                                    uint64_t deadQubits)
 {
-    if (qubit < 0 || qubit >= numQubits_)
-        panic("applyChannelSuperop1: qubit out of range");
-    detail::applySuperopMat1(rho_.data(), numQubits_, s, qubit, pool());
+    if (qubit < 0 || qubit >= numQubits_ ||
+        !validDeadMask(deadQubits, qubit))
+        panic("applyChannelSuperop1: qubit or dead mask out of range");
+    detail::applySuperopMat1(rho_.data(), numQubits_, s, qubit, pool(),
+                             deadQubits);
 }
 
 namespace {

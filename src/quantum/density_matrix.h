@@ -58,8 +58,14 @@ class DensityMatrix
     /** 1q unitary from row-major entries {u00, u01, u10, u11}. */
     void applyGate1(const Complex *u, int qubit);
 
-    /** 1q diagonal unitary diag(d[0], d[1]). */
-    void applyDiag1(const Complex *d, int qubit);
+    /**
+     * 1q diagonal unitary diag(d[0], d[1]). With @p deadQubits, the
+     * entries whose ket and bra bits differ on a qubit of that mask are
+     * skipped (left as they were): for qubits no later op touches, so
+     * only such entries are never read again (see
+     * detail::LiveBlocks1q).
+     */
+    void applyDiag1(const Complex *d, int qubit, uint64_t deadQubits = 0);
 
     /** 2q unitary from row-major 4x4 entries (bit 0 -> @p q0). */
     void applyGate2(const Complex *u, int q0, int q1);
@@ -77,8 +83,10 @@ class DensityMatrix
      * the vectorized (ket bit, bra bit) sub-index j = k + 2b of @p
      * qubit. Lets callers compose a whole unitary + noise sequence
      * offline and pay a single kernel pass (see SimulatedQpu).
+     * @p deadQubits skips entries as in applyDiag1.
      */
-    void applyChannelSuperop1(const Complex *s, int qubit);
+    void applyChannelSuperop1(const Complex *s, int qubit,
+                              uint64_t deadQubits = 0);
 
     /**
      * Analytic fast path for 1q depolarizing noise:
@@ -148,6 +156,9 @@ class DensityMatrix
 
   private:
     TaskPool *pool() const;
+
+    /** @p deadQubits names only qubits of this state, not @p qubit. */
+    bool validDeadMask(uint64_t deadQubits, int qubit) const;
 
     int numQubits_;
     CVector rho_;

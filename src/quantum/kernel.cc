@@ -28,25 +28,76 @@ namespace {
 // quantum/simd_dispatch.h): mul/addsub only, no FMA, scalar
 // accumulation order — bit-identical to the scalar workers.
 
+/** Two complex slots, at @p lo and @p hi, as one 256-bit vector. */
+__attribute__((target("avx2"), always_inline)) static inline __m256d
+loadPair(const double *lo, const double *hi)
+{
+    return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(lo)),
+                                _mm_loadu_pd(hi), 1);
+}
+
+/** Store the two complex lanes of @p v to @p lo and @p hi. */
+__attribute__((target("avx2"), always_inline)) static inline void
+storePair(double *lo, double *hi, __m256d v)
+{
+    _mm_storeu_pd(lo, _mm256_castpd256_pd128(v));
+    _mm_storeu_pd(hi, _mm256_extractf128_pd(v, 1));
+}
+
+/**
+ * The 4x4 mat-vec of superopMat1 on two blocks at once, one per
+ * 128-bit lane: @p v0..v3 hold the blocks' slots j = k + 2b.
+ */
+__attribute__((target("avx2"), always_inline)) static inline void
+mat1Lanes(const __m256d *mr, const __m256d *mi, __m256d &v0, __m256d &v1,
+          __m256d &v2, __m256d &v3)
+{
+    __m256d n0 = cxMul(v0, mr[0], mi[0]);
+    n0 = cxMulAdd(n0, v1, mr[1], mi[1]);
+    n0 = cxMulAdd(n0, v2, mr[2], mi[2]);
+    n0 = cxMulAdd(n0, v3, mr[3], mi[3]);
+    __m256d n1 = cxMul(v0, mr[4], mi[4]);
+    n1 = cxMulAdd(n1, v1, mr[5], mi[5]);
+    n1 = cxMulAdd(n1, v2, mr[6], mi[6]);
+    n1 = cxMulAdd(n1, v3, mr[7], mi[7]);
+    __m256d n2 = cxMul(v0, mr[8], mi[8]);
+    n2 = cxMulAdd(n2, v1, mr[9], mi[9]);
+    n2 = cxMulAdd(n2, v2, mr[10], mi[10]);
+    n2 = cxMulAdd(n2, v3, mr[11], mi[11]);
+    __m256d n3 = cxMul(v0, mr[12], mi[12]);
+    n3 = cxMulAdd(n3, v1, mr[13], mi[13]);
+    n3 = cxMulAdd(n3, v2, mr[14], mi[14]);
+    n3 = cxMulAdd(n3, v3, mr[15], mi[15]);
+    v0 = n0;
+    v1 = n1;
+    v2 = n2;
+    v3 = n3;
+}
+
 /**
  * AVX2 widening of the dense 4x4 channel superoperator apply —
  * the hottest noisy-path kernel (every SX/X rides through it as a
- * composed gate+noise pass). Bit-identical to superopMat1Range.
+ * composed gate+noise pass). Bit-identical to superopMat1Range on
+ * every live block; dead blocks (see LiveBlocks1q) are not touched.
  *
- * Two shapes: for kBit >= 2 the usual two-anchors-per-iteration walk;
- * for kBit == 1 (qubit 0, where every anchor run degenerates to length
- * one) the block's ket pair (v0, v1) is adjacent in memory, so one
- * 256-bit vector holds it and the 4x4 mat-vec runs as four
- * broadcast-input x packed-row-pair products per output vector.
+ * Three shapes: for kBit == 1 (qubit 0, where every anchor run
+ * degenerates to length one) the block's ket pair (v0, v1) is adjacent
+ * in memory, so one 256-bit vector holds it and the 4x4 mat-vec runs
+ * as four broadcast-input x packed-row-pair products per output
+ * vector; for runs of two or more, two adjacent anchors per
+ * iteration; and when a dead qubit 0 leaves runs of one, two
+ * consecutive live anchors per iteration, one per 128-bit lane.
  */
 __attribute__((target("avx2"))) void
 superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
-                     uint64_t kBit, uint64_t bBit)
+                     LiveBlocks1q lb)
 {
     double *d = reinterpret_cast<double *>(rho);
     Complex m[16];
     for (int j = 0; j < 16; ++j)
         m[j] = s[j];
+    const uint64_t kBit = lb.kBit;
+    const uint64_t bBit = lb.bBit;
 
     if (kBit == 1) {
         // Row pairs packed per 128-bit half: lane half 0 applies row a,
@@ -62,9 +113,9 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
             ciB[j] = _mm256_setr_pd(m[8 + j].imag(), m[8 + j].imag(),
                                     m[12 + j].imag(), m[12 + j].imag());
         }
-        const uint64_t lowB = bBit - 1;
-        for (uint64_t t = b; t < e; ++t) {
-            const uint64_t i = depositZeroBit(depositZeroBit(t, 0), lowB);
+        uint64_t x = lb.deposit(b);
+        for (uint64_t t = b; t < e; ++t, x = lb.next(x)) {
+            const uint64_t i = lb.anchor(x);
             double *pk = d + 2 * i;
             double *pb = d + 2 * (i + bBit);
             const __m256d v01 = _mm256_loadu_pd(pk);
@@ -92,16 +143,46 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
         mr[j] = _mm256_set1_pd(m[j].real());
         mi[j] = _mm256_set1_pd(m[j].imag());
     }
-    const uint64_t lowA = kBit - 1;
-    const uint64_t lowB = bBit - 1;
-    const uint64_t runCap = kBit;
+    const auto single = [&](uint64_t i) {
+        const uint64_t iK = i + kBit;
+        const uint64_t iB = i + bBit;
+        const uint64_t iKB = iK + bBit;
+        const Complex v0 = rho[i], v1 = rho[iK];
+        const Complex v2 = rho[iB], v3 = rho[iKB];
+        rho[i] = m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3;
+        rho[iK] = m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3;
+        rho[iB] = m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3;
+        rho[iKB] = m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3;
+    };
+    const uint64_t runCap = lb.runCap;
+    uint64_t x = lb.deposit(b);
     uint64_t t = b;
+    if (runCap == 1) {
+        for (; t + 2 <= e; t += 2) {
+            const uint64_t i = lb.anchor(x);
+            x = lb.next(x);
+            const uint64_t j = lb.anchor(x);
+            x = lb.next(x);
+            double *pi = d + 2 * i;
+            double *pj = d + 2 * j;
+            __m256d v0 = loadPair(pi, pj);
+            __m256d v1 = loadPair(pi + 2 * kBit, pj + 2 * kBit);
+            __m256d v2 = loadPair(pi + 2 * bBit, pj + 2 * bBit);
+            __m256d v3 =
+                loadPair(pi + 2 * (kBit + bBit), pj + 2 * (kBit + bBit));
+            mat1Lanes(mr, mi, v0, v1, v2, v3);
+            storePair(pi, pj, v0);
+            storePair(pi + 2 * kBit, pj + 2 * kBit, v1);
+            storePair(pi + 2 * bBit, pj + 2 * bBit, v2);
+            storePair(pi + 2 * (kBit + bBit), pj + 2 * (kBit + bBit), v3);
+        }
+        if (t < e)
+            single(lb.anchor(x));
+        return;
+    }
     while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t anchor = depositZeroBit(t - lo, lowA);
-        anchor = depositZeroBit(anchor, lowB);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
+        const uint64_t run = std::min(runCap - (t & (runCap - 1)), e - t);
+        const uint64_t start = lb.anchor(x);
         uint64_t r = 0;
         for (; r + 2 <= run; r += 2) {
             const uint64_t i = start + r;
@@ -109,62 +190,39 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
             double *p1 = d + 2 * (i + kBit);
             double *p2 = d + 2 * (i + bBit);
             double *p3 = d + 2 * (i + kBit + bBit);
-            const __m256d v0 = _mm256_loadu_pd(p0);
-            const __m256d v1 = _mm256_loadu_pd(p1);
-            const __m256d v2 = _mm256_loadu_pd(p2);
-            const __m256d v3 = _mm256_loadu_pd(p3);
-            __m256d n0 = cxMul(v0, mr[0], mi[0]);
-            n0 = cxMulAdd(n0, v1, mr[1], mi[1]);
-            n0 = cxMulAdd(n0, v2, mr[2], mi[2]);
-            n0 = cxMulAdd(n0, v3, mr[3], mi[3]);
-            __m256d n1 = cxMul(v0, mr[4], mi[4]);
-            n1 = cxMulAdd(n1, v1, mr[5], mi[5]);
-            n1 = cxMulAdd(n1, v2, mr[6], mi[6]);
-            n1 = cxMulAdd(n1, v3, mr[7], mi[7]);
-            __m256d n2 = cxMul(v0, mr[8], mi[8]);
-            n2 = cxMulAdd(n2, v1, mr[9], mi[9]);
-            n2 = cxMulAdd(n2, v2, mr[10], mi[10]);
-            n2 = cxMulAdd(n2, v3, mr[11], mi[11]);
-            __m256d n3 = cxMul(v0, mr[12], mi[12]);
-            n3 = cxMulAdd(n3, v1, mr[13], mi[13]);
-            n3 = cxMulAdd(n3, v2, mr[14], mi[14]);
-            n3 = cxMulAdd(n3, v3, mr[15], mi[15]);
-            _mm256_storeu_pd(p0, n0);
-            _mm256_storeu_pd(p1, n1);
-            _mm256_storeu_pd(p2, n2);
-            _mm256_storeu_pd(p3, n3);
+            __m256d v0 = _mm256_loadu_pd(p0);
+            __m256d v1 = _mm256_loadu_pd(p1);
+            __m256d v2 = _mm256_loadu_pd(p2);
+            __m256d v3 = _mm256_loadu_pd(p3);
+            mat1Lanes(mr, mi, v0, v1, v2, v3);
+            _mm256_storeu_pd(p0, v0);
+            _mm256_storeu_pd(p1, v1);
+            _mm256_storeu_pd(p2, v2);
+            _mm256_storeu_pd(p3, v3);
         }
-        for (; r < run; ++r) {
-            const uint64_t i = start + r;
-            const uint64_t iK = i + kBit;
-            const uint64_t iB = i + bBit;
-            const uint64_t iKB = iK + bBit;
-            const Complex v0 = rho[i], v1 = rho[iK];
-            const Complex v2 = rho[iB], v3 = rho[iKB];
-            rho[i] = m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3;
-            rho[iK] = m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3;
-            rho[iB] = m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3;
-            rho[iKB] =
-                m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3;
-        }
+        for (; r < run; ++r)
+            single(start + r);
         t += run;
+        x = lb.next(x + run - 1);
     }
 }
 
 /**
  * AVX2 widening of the 1q diagonal superoperator (four elementwise
- * phase-factor streams). Bit-identical to superopDiag1Range; has a
- * packed-pair path for kBit == 1 like superopMat1RangeAvx2.
+ * phase-factor streams). Bit-identical to superopDiag1Range on every
+ * live block; the same three shapes as superopMat1RangeAvx2.
  */
 __attribute__((target("avx2"))) void
 superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
-                      Complex d1, uint64_t kBit, uint64_t bBit)
+                      Complex d1, LiveBlocks1q lb)
 {
     double *d = reinterpret_cast<double *>(rho);
     const Complex f00 = d0 * std::conj(d0);
     const Complex f01 = d0 * std::conj(d1);
     const Complex f10 = d1 * std::conj(d0);
     const Complex f11 = d1 * std::conj(d1);
+    const uint64_t kBit = lb.kBit;
+    const uint64_t bBit = lb.bBit;
 
     if (kBit == 1) {
         // Ket pair adjacent: (i, i+1) takes (f00, f10); the bra-shifted
@@ -177,9 +235,9 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
                                            f11.real(), f11.real());
         const __m256d fbi = _mm256_setr_pd(f01.imag(), f01.imag(),
                                            f11.imag(), f11.imag());
-        const uint64_t lowB = bBit - 1;
-        for (uint64_t t = b; t < e; ++t) {
-            const uint64_t i = depositZeroBit(depositZeroBit(t, 0), lowB);
+        uint64_t x = lb.deposit(b);
+        for (uint64_t t = b; t < e; ++t, x = lb.next(x)) {
+            const uint64_t i = lb.anchor(x);
             double *pk = d + 2 * i;
             double *pb = d + 2 * (i + bBit);
             _mm256_storeu_pd(pk, cxMul(_mm256_loadu_pd(pk), fkr, fki));
@@ -196,16 +254,37 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
     const __m256d f10i = _mm256_set1_pd(f10.imag());
     const __m256d f11r = _mm256_set1_pd(f11.real());
     const __m256d f11i = _mm256_set1_pd(f11.imag());
-    const uint64_t lowA = kBit - 1;
-    const uint64_t lowB = bBit - 1;
-    const uint64_t runCap = kBit;
+    const auto single = [&](uint64_t i) {
+        rho[i] *= f00;
+        rho[i + bBit] *= f01;
+        rho[i + kBit] *= f10;
+        rho[i + kBit + bBit] *= f11;
+    };
+    const uint64_t runCap = lb.runCap;
+    uint64_t x = lb.deposit(b);
     uint64_t t = b;
+    if (runCap == 1) {
+        for (; t + 2 <= e; t += 2) {
+            const uint64_t i = lb.anchor(x);
+            x = lb.next(x);
+            const uint64_t j = lb.anchor(x);
+            x = lb.next(x);
+            double *p00 = d + 2 * i, *q00 = d + 2 * j;
+            double *p01 = p00 + 2 * bBit, *q01 = q00 + 2 * bBit;
+            double *p10 = p00 + 2 * kBit, *q10 = q00 + 2 * kBit;
+            double *p11 = p01 + 2 * kBit, *q11 = q01 + 2 * kBit;
+            storePair(p00, q00, cxMul(loadPair(p00, q00), f00r, f00i));
+            storePair(p01, q01, cxMul(loadPair(p01, q01), f01r, f01i));
+            storePair(p10, q10, cxMul(loadPair(p10, q10), f10r, f10i));
+            storePair(p11, q11, cxMul(loadPair(p11, q11), f11r, f11i));
+        }
+        if (t < e)
+            single(lb.anchor(x));
+        return;
+    }
     while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t anchor = depositZeroBit(t - lo, lowA);
-        anchor = depositZeroBit(anchor, lowB);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
+        const uint64_t run = std::min(runCap - (t & (runCap - 1)), e - t);
+        const uint64_t start = lb.anchor(x);
         uint64_t r = 0;
         for (; r + 2 <= run; r += 2) {
             const uint64_t i = start + r;
@@ -222,14 +301,10 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
             _mm256_storeu_pd(p11,
                              cxMul(_mm256_loadu_pd(p11), f11r, f11i));
         }
-        for (; r < run; ++r) {
-            const uint64_t i = start + r;
-            rho[i] *= f00;
-            rho[i + bBit] *= f01;
-            rho[i + kBit] *= f10;
-            rho[i + kBit + bBit] *= f11;
-        }
+        for (; r < run; ++r)
+            single(start + r);
         t += run;
+        x = lb.next(x + run - 1);
     }
 }
 
@@ -340,11 +415,11 @@ superop1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
 
 void
 superopMat1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
-                 uint64_t kBit, uint64_t bBit)
+                 LiveBlocks1q lb)
 {
 #ifdef EQC_KERNEL_X86_DISPATCH
     if (cpuHasAvx2()) {
-        superopMat1RangeAvx2(rho, b, e, s, kBit, bBit);
+        superopMat1RangeAvx2(rho, b, e, s, lb);
         return;
     }
 #endif
@@ -352,8 +427,9 @@ superopMat1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
     Complex m[16];
     for (int i = 0; i < 16; ++i)
         m[i] = s[i];
-    const uint64_t lows[2] = {kBit - 1, bBit - 1};
-    forAnchorRuns<2>(b, e, lows, [&](uint64_t start, uint64_t run) {
+    const uint64_t kBit = lb.kBit;
+    const uint64_t bBit = lb.bBit;
+    forLiveAnchorRuns(lb, b, e, [&](uint64_t start, uint64_t run) {
         for (uint64_t r = 0; r < run; ++r) {
             const uint64_t i = start + r;
             const uint64_t iK = i + kBit;
@@ -372,11 +448,11 @@ superopMat1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
 
 void
 superopDiag1Range(Complex *rho, uint64_t b, uint64_t e, Complex d0,
-                  Complex d1, uint64_t kBit, uint64_t bBit)
+                  Complex d1, LiveBlocks1q lb)
 {
 #ifdef EQC_KERNEL_X86_DISPATCH
     if (cpuHasAvx2()) {
-        superopDiag1RangeAvx2(rho, b, e, d0, d1, kBit, bBit);
+        superopDiag1RangeAvx2(rho, b, e, d0, d1, lb);
         return;
     }
 #endif
@@ -384,8 +460,9 @@ superopDiag1Range(Complex *rho, uint64_t b, uint64_t e, Complex d0,
     const Complex f01 = d0 * std::conj(d1);
     const Complex f10 = d1 * std::conj(d0);
     const Complex f11 = d1 * std::conj(d1);
-    const uint64_t lows[2] = {kBit - 1, bBit - 1};
-    forAnchorRuns<2>(b, e, lows, [&](uint64_t start, uint64_t run) {
+    const uint64_t kBit = lb.kBit;
+    const uint64_t bBit = lb.bBit;
+    forLiveAnchorRuns(lb, b, e, [&](uint64_t start, uint64_t run) {
         for (uint64_t r = 0; r < run; ++r) {
             const uint64_t i = start + r;
             rho[i] *= f00;
@@ -796,26 +873,22 @@ applySuperop1(Complex *rho, int numQubits, const Complex *u, int qubit,
 
 void
 applySuperopMat1(Complex *rho, int numQubits, const Complex *s, int qubit,
-                 TaskPool *pool)
+                 TaskPool *pool, uint64_t deadQubits)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
-    const uint64_t kBit = uint64_t{1} << qubit;
-    const uint64_t bBit = uint64_t{1} << (qubit + numQubits);
-    shardBlocks(pool, dimSq >> 2, [=](uint64_t b, uint64_t e) {
-        superopMat1Range(rho, b, e, s, kBit, bBit);
+    const LiveBlocks1q lb(numQubits, qubit, deadQubits);
+    shardBlocks(pool, lb.count, [=](uint64_t b, uint64_t e) {
+        superopMat1Range(rho, b, e, s, lb);
     });
 }
 
 void
 applySuperopDiag1(Complex *rho, int numQubits, const Complex *d, int qubit,
-                  TaskPool *pool)
+                  TaskPool *pool, uint64_t deadQubits)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
-    const uint64_t kBit = uint64_t{1} << qubit;
-    const uint64_t bBit = uint64_t{1} << (qubit + numQubits);
+    const LiveBlocks1q lb(numQubits, qubit, deadQubits);
     const Complex d0 = d[0], d1 = d[1];
-    shardBlocks(pool, dimSq >> 2, [=](uint64_t b, uint64_t e) {
-        superopDiag1Range(rho, b, e, d0, d1, kBit, bBit);
+    shardBlocks(pool, lb.count, [=](uint64_t b, uint64_t e) {
+        superopDiag1Range(rho, b, e, d0, d1, lb);
     });
 }
 

@@ -161,6 +161,94 @@ forAnchorRuns(uint64_t b, uint64_t e, const uint64_t *lowMasks,
 }
 
 /**
+ * The blocks a 1q density-matrix pass on @p qubit must still compute
+ * when the qubits in @p deadQubits are finished: no later op touches
+ * them, and the final read takes only the diagonal. Such a qubit d
+ * has its entries with ket bit d != bra bit d read by nothing (every
+ * pass is block-local, so those entries feed only each other), so the
+ * pass enumerates just the anchors whose ket bit d equals bra bit d.
+ *
+ * A live anchor is walked as its *free* bits x (every position except
+ * the target's ket and bra bits and the dead qubits' bra bits): the
+ * t-th live block has x = deposit(t), the next one next(x), and its
+ * anchor index copies each dead qubit's ket bit into its bra bit. The
+ * bits below both the target and the lowest dead qubit stay contiguous,
+ * so live anchors come in runs of runCap (1 when qubit 0 is dead or
+ * the target).
+ */
+struct LiveBlocks1q
+{
+    /**
+     * @param numQubits qubits of the density matrix (its 4^n vector)
+     * @param qubit the pass's target
+     * @param deadQubits bit q set: qubit q is finished (must exclude
+     *        @p qubit)
+     */
+    LiveBlocks1q(int numQubits, int qubit, uint64_t deadQubits)
+        : kBit(uint64_t{1} << qubit),
+          bBit(uint64_t{1} << (qubit + numQubits)), dead(deadQubits),
+          braShift(numQubits)
+    {
+        const uint64_t all = (uint64_t{1} << (2 * numQubits)) - 1;
+        fixed = kBit | bBit | (dead << numQubits) | ~all;
+        const uint64_t low = kBit | dead;
+        runCap = low & (~low + 1);
+        count = (uint64_t{1} << (2 * numQubits - 2)) >>
+                __builtin_popcountll(dead);
+    }
+
+    /** The free bits of live block @p t (t < count). */
+    uint64_t
+    deposit(uint64_t t) const
+    {
+        for (uint64_t f = kBit | bBit | (dead << braShift); f != 0;
+             f &= f - 1)
+            t = depositZeroBit(t, (f & (~f + 1)) - 1);
+        return t;
+    }
+
+    /** The free bits of the live block after @p x. */
+    uint64_t next(uint64_t x) const { return ((x | fixed) + 1) & ~fixed; }
+
+    /** The anchor index of the live block with free bits @p x. */
+    uint64_t
+    anchor(uint64_t x) const
+    {
+        return x | ((x & dead) << braShift);
+    }
+
+    uint64_t kBit, bBit;
+    uint64_t dead;
+    int braShift;
+    /** Positions no free-bit walk may set (incl. every bit >= 2n). */
+    uint64_t fixed;
+    /** Contiguous anchors per run: the lowest bit of kBit | dead. */
+    uint64_t runCap;
+    /** Live blocks: 4^(n-1) / 2^|dead|. */
+    uint64_t count;
+};
+
+/**
+ * forAnchorRuns over the live blocks [b, e) of @p lb: @p process is
+ * invoked as process(anchorStart, runLength) on contiguous runs.
+ */
+template <typename Process>
+inline void
+forLiveAnchorRuns(const LiveBlocks1q &lb, uint64_t b, uint64_t e,
+                  const Process &process)
+{
+    const uint64_t runCap = lb.runCap;
+    uint64_t x = lb.deposit(b);
+    uint64_t t = b;
+    while (t < e) {
+        const uint64_t run = std::min(runCap - (t & (runCap - 1)), e - t);
+        process(lb.anchor(x), run);
+        t += run;
+        x = lb.next(x + run - 1);
+    }
+}
+
+/**
  * Reusable scratch for the general-k kernel. Callers keep one instance
  * alive across calls so no kernel invocation allocates after warm-up.
  */
@@ -261,9 +349,14 @@ void applyGateK(Complex *amp, uint64_t dim, const CMatrix &u,
 void applySuperop1(Complex *rho, int numQubits, const Complex *u,
                    int qubit, TaskPool *pool);
 
-/** 1q diagonal unitary diag(d[0..1]): elementwise phase factors. */
+/**
+ * 1q diagonal unitary diag(d[0..1]): elementwise phase factors. With
+ * @p deadQubits (see LiveBlocks1q) only the live blocks are computed;
+ * the others are left as they were.
+ */
 void applySuperopDiag1(Complex *rho, int numQubits, const Complex *d,
-                       int qubit, TaskPool *pool);
+                       int qubit, TaskPool *pool,
+                       uint64_t deadQubits = 0);
 
 /** 2q unitary on each 16-element block. */
 void applySuperop2(Complex *rho, int numQubits, const Complex *u, int q0,
@@ -289,10 +382,12 @@ void applySuperopPerm2(Complex *rho, int numQubits, const PermPhase &pp,
  * Apply a precomputed 4x4 channel superoperator to every 4-element
  * (ket, bra) block of a 1q channel; @p s is row-major over the
  * vectorized sub-index j = ketBit + 2 braBit. One pass for a whole
- * composed gate + noise sequence (see SimulatedQpu::execute).
+ * composed gate + noise sequence (see SimulatedQpu::executeBatch).
+ * With @p deadQubits only the live blocks are computed, as in
+ * applySuperopDiag1.
  */
 void applySuperopMat1(Complex *rho, int numQubits, const Complex *s,
-                      int qubit, TaskPool *pool);
+                      int qubit, TaskPool *pool, uint64_t deadQubits = 0);
 
 /**
  * Apply a precomputed 16x16 channel superoperator to every 16-element

@@ -657,6 +657,122 @@ TEST(Backend, ExecuteBatchBitIdenticalToSingleExecutes)
     }
 }
 
+/**
+ * Gradient batches of a 5-qubit circuit whose qubits end on
+ * interleaved non-diagonal ops (SX, X or a CX, never a trailing RZ), so
+ * each qubit's last op still reads its coherences: a pass before it
+ * that skipped that qubit's off-diagonal blocks would move the result.
+ * One +-pi/2 WholeParameter pair per parameter.
+ */
+std::deque<BatchSpec>
+tailBatches(const CouplingMap &map)
+{
+    const int n = 5;
+    QuantumCircuit c(n, 2 * n);
+    for (int q = 0; q < n; ++q)
+        c.ry(q, ParamExpr::symbol(q));
+    for (int q = 0; q + 1 < n; ++q)
+        c.cx(q, q + 1);
+    for (int q = 0; q < n; ++q)
+        c.rz(q, ParamExpr::symbol(n + q));
+    c.sx(0);
+    c.sx(1);
+    c.cx(2, 3);
+    c.sx(4);
+    c.x(1);
+    c.sx(2);
+    c.sx(3);
+    c.measureAll();
+    std::deque<BatchSpec> out;
+    std::vector<double> base;
+    for (int k = 0; k < 2 * n; ++k)
+        base.push_back(-1.3 + 0.29 * k);
+    for (int k = 0; k < 2 * n; ++k) {
+        BatchSpec &spec = out.emplace_back();
+        spec.circuits.push_back({transpile(c, map)});
+        for (double sign : {1.0, -1.0}) {
+            std::vector<double> shifted = base;
+            shifted[k] += sign * 1.5707963267948966;
+            spec.addJob(spec.circuits.back(), spec.bind(shifted));
+        }
+    }
+    return out;
+}
+
+/** FNV-1a 64 over every batch's exact probabilities, in order. */
+uint64_t
+batchesDigest(SimulatedQpu &qpu, const std::deque<BatchSpec> &specs,
+              double tH, TaskPool &pool)
+{
+    uint64_t h = 0xCBF29CE484222325ULL;
+    for (const BatchSpec &spec : specs) {
+        for (const JobResult &r : executeBatched(qpu, spec, tH, pool)) {
+            h ^= probabilityDigest(r.probabilities);
+            h *= 0x100000001B3ULL;
+        }
+    }
+    return h;
+}
+
+// Pins whole estimate batches to the bit, on every kernel variant and
+// pool size: the mixed batch and the gradient batches of the 4-qubit
+// VQE, the QAOA ring and the 7-qubit chain, and the SX/CX-ended family
+// above. Unlike the batched-vs-single test, this also catches a change
+// that moves a lone execute() and a batch alike.
+TEST(Backend, GradientBatchProbabilitiesArePinnedBitwise)
+{
+    const Device dev = deviceByName("ibmq_casablanca");
+    const std::deque<BatchSpec> gradient = gradientBatches(dev.coupling);
+    const std::deque<BatchSpec> tail = tailBatches(dev.coupling);
+    const uint64_t wantGradient = 0x7D633F30921E47A5ULL;
+    const uint64_t wantTail = 0xE634C81D11FCA6F0ULL;
+    TaskPool one(1), two(2), four(4);
+    for (bool scalar : {false, true}) {
+        detail::simdDispatchForcedOff() = scalar;
+        SimulatedQpu qpu(dev, 11);
+        for (TaskPool *pool : {&one, &two, &four}) {
+            const std::string what =
+                std::string(scalar ? "scalar" : "simd") + " threads " +
+                std::to_string(pool->threadCount());
+            EXPECT_EQ(batchesDigest(qpu, gradient, 6.5, *pool),
+                      wantGradient)
+                << what;
+            EXPECT_EQ(batchesDigest(qpu, tail, 6.5, *pool), wantTail)
+                << what;
+        }
+    }
+    detail::simdDispatchForcedOff() = false;
+}
+
+// The schedule's own count of density-matrix blocks, pruned and not,
+// for one fixed gradient batch of the 7-qubit chain: the +-pi/2 pair of
+// its first parameter over every measurement group. It is a pure
+// function of the batch, so the cut in work shows bit-exactly.
+TEST(Backend, BatchWorkIsPinnedForChainGradient)
+{
+    const Device dev = deviceByName("ibmq_casablanca");
+    const VqaProblem chain = batchProblems()[2];
+    ExpectationEstimator est(chain.hamiltonian, chain.ansatz);
+    std::deque<BatchSpec> specs(1);
+    BatchSpec &spec = specs.front();
+    spec.circuits.push_back(est.compileFor(dev.coupling));
+    for (double sign : {1.0, -1.0}) {
+        std::vector<double> shifted = chain.initialParams;
+        shifted[0] += sign * 1.5707963267948966;
+        spec.addJob(spec.circuits.back(), spec.bind(shifted));
+    }
+    std::deque<Rng> rngs;
+    std::vector<ExecItem> items;
+    for (const auto &[tc, params] : spec.items)
+        items.push_back({tc, params, &rngs.emplace_back(1)});
+    SimulatedQpu qpu(dev, 11);
+    TaskPool one(1);
+    const BatchWork work = qpu.batchWork(items, 6.5, &one);
+    EXPECT_EQ(work.blocks, 494464u);
+    EXPECT_EQ(work.unprunedBlocks, 864256u);
+    EXPECT_LT(work.blocks, work.unprunedBlocks);
+}
+
 // Two items whose fused ops agree but whose compact qubits sit on
 // swapped physical qubits carry different noise: they may not share.
 TEST(Backend, ExecuteBatchKeysOpsOnPhysicalQubits)

@@ -452,6 +452,86 @@ TEST(Kernel, SimdSuperopsBitIdenticalToScalar)
     }
 }
 
+/**
+ * Mismatches of a pass over @p n qubits told that @p dead qubits are
+ * finished: each entry with ket bit = bra bit on every dead qubit must
+ * hold the full pass's bits, and every other entry its input bits.
+ */
+uint64_t
+maskedMismatches(const CVector &got, const CVector &full,
+                 const CVector &input, int n, uint64_t dead)
+{
+    uint64_t bad = 0;
+    for (uint64_t i = 0; i < got.size(); ++i) {
+        const bool live = ((i ^ (i >> n)) & dead) == 0;
+        bad += std::memcmp(&got[i], live ? &full[i] : &input[i],
+                           sizeof(Complex)) != 0;
+    }
+    return bad;
+}
+
+/**
+ * Every 1q pass on @p n qubits that takes a dead-qubit mask, on every
+ * target and every mask in @p masks(target), against its unmasked pass
+ * on a dense non-Hermitian state.
+ */
+void
+expectMaskedPassesMatchFull(
+    int n, TaskPool *pool,
+    const std::function<std::vector<uint64_t>(int)> &masks)
+{
+    const CVector input = randomState(uint64_t{1} << (2 * n), 461 + n);
+    const std::vector<Complex> s = flat(randomMatrix(4, 463 + n));
+    const Complex d[2] = {Complex(0.7, -0.4), Complex(-0.3, 1.1)};
+    for (int q = 0; q < n; ++q) {
+        CVector fullMat = input, fullDiag = input;
+        detail::applySuperopMat1(fullMat.data(), n, s.data(), q, pool);
+        detail::applySuperopDiag1(fullDiag.data(), n, d, q, pool);
+        for (uint64_t dead : masks(q)) {
+            CVector mat = input, diag = input;
+            detail::applySuperopMat1(mat.data(), n, s.data(), q, pool,
+                                     dead);
+            detail::applySuperopDiag1(diag.data(), n, d, q, pool, dead);
+            EXPECT_EQ(maskedMismatches(mat, fullMat, input, n, dead), 0u)
+                << "superopMat1 n " << n << " qubit " << q << " dead "
+                << dead;
+            EXPECT_EQ(maskedMismatches(diag, fullDiag, input, n, dead), 0u)
+                << "superopDiag1 n " << n << " qubit " << q << " dead "
+                << dead;
+        }
+    }
+}
+
+// A pass told which qubits are finished computes only the blocks that
+// can still be read, with the full pass's bits, on every kernel
+// variant: all masks up to 6 qubits (a dead qubit 0 breaks the anchor
+// runs; a target of 0 takes the packed AVX2 path), then 9 qubits
+// sharded over three threads, so block ranges start mid-run.
+TEST(Kernel, MaskedSuperopsMatchFullPassOnLiveEntries)
+{
+    TaskPool three(3);
+    for (bool scalar : {false, true}) {
+        detail::simdDispatchForcedOff() = scalar;
+        for (int n = 1; n <= 6; ++n) {
+            expectMaskedPassesMatchFull(n, nullptr, [n](int q) {
+                std::vector<uint64_t> out;
+                for (uint64_t dead = 0; dead >> n == 0; ++dead)
+                    if ((dead >> q & 1) == 0)
+                        out.push_back(dead);
+                return out;
+            });
+        }
+        expectMaskedPassesMatchFull(9, &three, [](int q) {
+            std::vector<uint64_t> out = {0, 0x1FFu & ~(1u << q)};
+            for (int d = 0; d < 9; ++d)
+                if (d != q)
+                    out.push_back(uint64_t{1} << d);
+            return out;
+        });
+    }
+    detail::simdDispatchForcedOff() = false;
+}
+
 TEST(Kernel, SimdDepolThermal2qBitIdenticalToScalar)
 {
     const int n = 5;
