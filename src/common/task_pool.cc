@@ -8,7 +8,7 @@ namespace eqc {
 namespace {
 
 /**
- * Set while a thread is inside a parallelFor submission (any pool).
+ * Set while a thread is inside a parallelJobs submission (any pool).
  * A nested call from such a thread must not touch submitMu_ at all:
  * try_lock on a mutex the thread itself holds is undefined behavior.
  */
@@ -50,18 +50,17 @@ void
 TaskPool::runChunks()
 {
     for (;;) {
-        uint64_t begin, count;
+        uint64_t count;
         const std::function<void(uint64_t, uint64_t)> *body;
         int part;
         {
             // Claim a chunk and snapshot the job geometry under the same
-            // lock: begin_/end_/body_ are stable while chunks remain.
+            // lock: count_/body_ are stable while chunks remain.
             std::lock_guard<std::mutex> lk(mu_);
             if (chunksLeft_ == 0)
                 return;
             part = --chunksLeft_;
-            begin = begin_;
-            count = end_ - begin_;
+            count = count_;
             body = body_;
         }
         // Balanced contiguous chunks: the first `rem` parts get one
@@ -69,7 +68,7 @@ TaskPool::runChunks()
         const uint64_t chunk = count / static_cast<uint64_t>(threads_);
         const uint64_t rem = count % static_cast<uint64_t>(threads_);
         const uint64_t p = static_cast<uint64_t>(part);
-        const uint64_t lo = begin + p * chunk + std::min<uint64_t>(p, rem);
+        const uint64_t lo = p * chunk + std::min<uint64_t>(p, rem);
         const uint64_t hi = lo + chunk + (p < rem ? 1 : 0);
         if (lo < hi) {
             if (activeWorkers_)
@@ -105,16 +104,22 @@ TaskPool::workerLoop()
 }
 
 void
-TaskPool::submitRange(uint64_t begin, uint64_t end,
-                      const std::function<void(uint64_t, uint64_t)> &body)
+TaskPool::parallelJobs(uint64_t count,
+                       const std::function<void(uint64_t, uint64_t)> &body)
 {
-    // One job in flight at a time; a busy pool degrades gracefully to
-    // inline execution.
-    std::unique_lock<std::mutex> submit(submitMu_, std::try_to_lock);
+    if (count == 0)
+        return;
+    // One fan-out in flight at a time. With no workers, a single job or
+    // a nested call from inside a submission on this thread (which must
+    // never re-probe a submit mutex it may already hold), or a pool
+    // busy with another submitter, run inline.
+    std::unique_lock<std::mutex> submit;
+    if (!workers_.empty() && count >= 2 && !tlsInParallelRegion)
+        submit = std::unique_lock<std::mutex>(submitMu_, std::try_to_lock);
     if (!submit.owns_lock()) {
         if (ctrInline_)
             ++*ctrInline_;
-        body(begin, end);
+        body(0, count);
         return;
     }
     if (ctrParallel_)
@@ -125,10 +130,11 @@ TaskPool::submitRange(uint64_t begin, uint64_t end,
         ~RegionGuard() { tlsInParallelRegion = false; }
     } region;
     {
+        // Surplus participants of a count below threads_ claim empty
+        // chunks.
         std::lock_guard<std::mutex> lk(mu_);
         body_ = &body;
-        begin_ = begin;
-        end_ = end;
+        count_ = count;
         chunksLeft_ = threads_;
         pending_ = threads_;
         ++jobSeq_;
@@ -138,43 +144,6 @@ TaskPool::submitRange(uint64_t begin, uint64_t end,
     std::unique_lock<std::mutex> lk(mu_);
     doneCv_.wait(lk, [&] { return pending_ == 0; });
     body_ = nullptr;
-}
-
-void
-TaskPool::parallelFor(uint64_t begin, uint64_t end,
-                      const std::function<void(uint64_t, uint64_t)> &body)
-{
-    if (begin >= end)
-        return;
-    const uint64_t count = end - begin;
-    if (workers_.empty() || count < static_cast<uint64_t>(threads_) ||
-        tlsInParallelRegion) {
-        // Too small, no workers, or a recursive call from inside a
-        // submission on this thread: run inline (never re-probe a
-        // submit mutex this thread may already hold).
-        if (ctrInline_)
-            ++*ctrInline_;
-        body(begin, end);
-        return;
-    }
-    submitRange(begin, end, body);
-}
-
-void
-TaskPool::parallelJobs(uint64_t count,
-                       const std::function<void(uint64_t, uint64_t)> &body)
-{
-    if (count == 0)
-        return;
-    if (workers_.empty() || count < 2 || tlsInParallelRegion) {
-        if (ctrInline_)
-            ++*ctrInline_;
-        body(0, count);
-        return;
-    }
-    // Coarse jobs: worth fanning out even below the participant count
-    // (runChunks hands empty chunks to surplus participants).
-    submitRange(0, count, body);
 }
 
 TaskPool &
@@ -188,7 +157,7 @@ void
 TaskPool::instrument(obs::MetricsRegistry &m)
 {
     ctrParallel_ = m.counter("eqc_pool_parallel_total",
-                             "Parallel-for fan-outs submitted");
+                             "Job fan-outs submitted");
     ctrInline_ = m.counter("eqc_pool_inline_total",
                            "Parallel calls degraded to inline runs");
     activeWorkers_ = m.gauge("eqc_pool_active_workers",

@@ -1,12 +1,15 @@
 /**
  * @file
- * Small persistent thread pool used to shard disjoint index ranges
- * across threads (block-parallel kernel apply, gradient-job fan-out).
+ * Small persistent thread pool that fans coarse jobs out across
+ * threads: the engines' gradient jobs, the estimator's circuit batches,
+ * the segments of one batch schedule and the serving tier's shards.
+ * Simulation kernels never use it; each pass runs serially inside one
+ * of those jobs.
  *
- * The pool hands each participant a contiguous chunk of the range, so a
- * caller whose chunks write disjoint memory gets bit-identical results
- * regardless of the thread count — the property the simulation kernels
- * rely on for deterministic replay.
+ * The pool hands each participant a contiguous chunk of the job
+ * indices, so a caller whose jobs write disjoint slots gets
+ * bit-identical results regardless of the thread count — the property
+ * deterministic replay relies on.
  */
 
 #ifndef EQC_COMMON_TASK_POOL_H
@@ -24,13 +27,13 @@
 namespace eqc {
 
 /**
- * Persistent worker pool executing one parallel-for at a time.
+ * Persistent worker pool executing one fan-out at a time.
  *
  * A pool of capacity T runs T-1 resident worker threads; the submitting
  * thread works alongside them, so `TaskPool(1)` spawns nothing and runs
- * everything inline. If a parallel-for is already in flight (another
- * thread got there first, or a kernel body recurses), the new call runs
- * its whole range inline instead of queueing — callers never block on
+ * everything inline. If a fan-out is already in flight (another thread
+ * got there first, or a job body recurses), the new call runs all of
+ * its jobs inline instead of queueing — callers never block on
  * unrelated work.
  */
 class TaskPool
@@ -48,23 +51,16 @@ class TaskPool
     int threadCount() const { return threads_; }
 
     /**
-     * Run @p body over [begin, end), partitioned into one contiguous
-     * chunk per participant. Blocks until every chunk has finished.
-     * Ranges smaller than the participant count run inline (the
-     * fork/join overhead would dominate fine-grained work).
+     * Run @p body over the job indices [0, @p count), partitioned into
+     * one contiguous chunk per participant, and block until every chunk
+     * has finished. Any count of two or more fans out, also below the
+     * participant count: each index is assumed expensive enough (a
+     * circuit execution, a gradient evaluation) to be worth a thread
+     * on its own.
      * @param body invoked as body(chunkBegin, chunkEnd); chunks are
-     *        disjoint and cover the range exactly once
-     */
-    void parallelFor(uint64_t begin, uint64_t end,
-                     const std::function<void(uint64_t, uint64_t)> &body);
-
-    /**
-     * As parallelFor, but for *coarse* jobs (circuit executions,
-     * gradient evaluations): parallelizes even when @p count is below
-     * the participant count — each index is assumed expensive enough
-     * to be worth a thread on its own. Chunks are still contiguous and
-     * disjoint, so callers writing per-index slots stay bit-identical
-     * for every thread count.
+     *        disjoint and cover [0, count) exactly once, so callers
+     *        writing per-index slots stay bit-identical for every
+     *        thread count
      */
     void parallelJobs(uint64_t count,
                       const std::function<void(uint64_t, uint64_t)> &body);
@@ -85,8 +81,6 @@ class TaskPool
   private:
     void workerLoop();
     void runChunks();
-    void submitRange(uint64_t begin, uint64_t end,
-                     const std::function<void(uint64_t, uint64_t)> &body);
 
     int threads_;
     std::vector<std::thread> workers_;
@@ -94,12 +88,11 @@ class TaskPool
     std::mutex mu_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
-    /** Submission gate: one parallelFor in flight at a time. */
+    /** Submission gate: one fan-out in flight at a time. */
     std::mutex submitMu_;
 
     const std::function<void(uint64_t, uint64_t)> *body_ = nullptr;
-    uint64_t begin_ = 0;
-    uint64_t end_ = 0;
+    uint64_t count_ = 0;
     uint64_t jobSeq_ = 0;
     int chunksLeft_ = 0;   ///< chunks not yet claimed
     int pending_ = 0;      ///< chunks claimed but not yet finished

@@ -4,23 +4,12 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/task_pool.h"
 #include "quantum/kernel.h"
 #include "quantum/pauli.h"
 #include "quantum/simd_dispatch.h"
 #include "quantum/statevector.h"
 
 namespace eqc {
-
-TaskPool *
-DensityMatrix::pool() const
-{
-    // Resolved once per instance: TaskPool::shared()'s thread-safe
-    // static guard is measurable on the small-n fast paths.
-    if (!pool_)
-        pool_ = &TaskPool::shared();
-    return pool_;
-}
 
 bool
 DensityMatrix::validDeadMask(uint64_t deadQubits, int qubit) const
@@ -70,15 +59,13 @@ DensityMatrix::applyGate1(const Complex *u, int qubit)
     detail::PermPhase pp;
     switch (detail::classifyGate(u, 2, d, pp)) {
       case detail::GateKind::Diagonal:
-        detail::applySuperopDiag1(rho_.data(), numQubits_, d, qubit,
-                                  pool());
+        detail::applySuperopDiag1(rho_.data(), numQubits_, d, qubit);
         break;
       case detail::GateKind::PermPhase:
-        detail::applySuperopPerm1(rho_.data(), numQubits_, pp, qubit,
-                                  pool());
+        detail::applySuperopPerm1(rho_.data(), numQubits_, pp, qubit);
         break;
       case detail::GateKind::General:
-        detail::applySuperop1(rho_.data(), numQubits_, u, qubit, pool());
+        detail::applySuperop1(rho_.data(), numQubits_, u, qubit);
         break;
     }
 }
@@ -89,7 +76,7 @@ DensityMatrix::applyDiag1(const Complex *d, int qubit, uint64_t deadQubits)
     if (qubit < 0 || qubit >= numQubits_ ||
         !validDeadMask(deadQubits, qubit))
         panic("DensityMatrix::applyDiag1: qubit or dead mask out of range");
-    detail::applySuperopDiag1(rho_.data(), numQubits_, d, qubit, pool(),
+    detail::applySuperopDiag1(rho_.data(), numQubits_, d, qubit,
                               deadQubits);
 }
 
@@ -104,15 +91,13 @@ DensityMatrix::applyGate2(const Complex *u, int q0, int q1)
     detail::PermPhase pp;
     switch (detail::classifyGate(u, 4, d, pp)) {
       case detail::GateKind::Diagonal:
-        detail::applySuperopDiag2(rho_.data(), numQubits_, d, q0, q1,
-                                  pool());
+        detail::applySuperopDiag2(rho_.data(), numQubits_, d, q0, q1);
         break;
       case detail::GateKind::PermPhase:
-        detail::applySuperopPerm2(rho_.data(), numQubits_, pp, q0, q1,
-                                  pool());
+        detail::applySuperopPerm2(rho_.data(), numQubits_, pp, q0, q1);
         break;
       case detail::GateKind::General:
-        detail::applySuperop2(rho_.data(), numQubits_, u, q0, q1, pool());
+        detail::applySuperop2(rho_.data(), numQubits_, u, q0, q1);
         break;
     }
 }
@@ -124,7 +109,7 @@ DensityMatrix::applyDiag2(const Complex *d, int q0, int q1)
         q0 == q1) {
         panic("DensityMatrix::applyDiag2: invalid qubits");
     }
-    detail::applySuperopDiag2(rho_.data(), numQubits_, d, q0, q1, pool());
+    detail::applySuperopDiag2(rho_.data(), numQubits_, d, q0, q1);
 }
 
 void
@@ -177,13 +162,13 @@ DensityMatrix::applyChannel(const KrausChannel &ch,
         // and the bra bit of the vectorized rho.
         detail::applyGate2(rho_.data(), uint64_t{1} << (2 * numQubits_),
                            ch.superopMatrix().data(), qubits[0],
-                           qubits[0] + numQubits_, pool());
+                           qubits[0] + numQubits_);
         return;
     }
     if (ch.arity == 2) {
         detail::applySuperopMat2(rho_.data(), numQubits_,
                                  ch.superopMatrix().data(), qubits[0],
-                                 qubits[1], pool());
+                                 qubits[1]);
         return;
     }
     // Reference path for arities the fused kernels do not cover.
@@ -209,71 +194,11 @@ DensityMatrix::applyChannelSuperop1(const Complex *s, int qubit,
     if (qubit < 0 || qubit >= numQubits_ ||
         !validDeadMask(deadQubits, qubit))
         panic("applyChannelSuperop1: qubit or dead mask out of range");
-    detail::applySuperopMat1(rho_.data(), numQubits_, s, qubit, pool(),
+    detail::applySuperopMat1(rho_.data(), numQubits_, s, qubit,
                              deadQubits);
 }
 
 namespace {
-
-// Hot-loop workers for the analytic noise fast paths; see shardBlocks()
-// in kernel.h for why these live outside the forwarding lambdas.
-
-void
-depolarizing1qRange(Complex *rho, uint64_t b, uint64_t e, double lambda,
-                    uint64_t kBit, uint64_t bBit)
-{
-    const double keep = 1.0 - lambda;
-    const uint64_t lows[2] = {kBit - 1, bBit - 1};
-    detail::forAnchorRuns<2>(b, e, lows,
-                             [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            // Block elements: (ket bit, bra bit) in {0,1}^2.
-            const uint64_t i00 = start + r;
-            const uint64_t i10 = i00 + kBit;
-            const uint64_t i01 = i00 + bBit;
-            const uint64_t i11 = i10 + bBit;
-            Complex d0 = rho[i00], d1 = rho[i11];
-            Complex avg = 0.5 * (d0 + d1);
-            rho[i00] = keep * d0 + lambda * avg;
-            rho[i11] = keep * d1 + lambda * avg;
-            rho[i10] *= keep;
-            rho[i01] *= keep;
-        }
-    });
-}
-
-void
-depolarizing2qRange(Complex *rho, uint64_t b, uint64_t e, double lambda,
-                    uint64_t kA, uint64_t kB, uint64_t bA, uint64_t bB)
-{
-    const double keep = 1.0 - lambda;
-    uint64_t ketOff[4], braOff[4];
-    for (int j = 0; j < 4; ++j) {
-        ketOff[j] = (j & 1 ? kA : 0) | (j & 2 ? kB : 0);
-        braOff[j] = (j & 1 ? bA : 0) | (j & 2 ? bB : 0);
-    }
-    const uint64_t lows[4] = {
-        std::min(kA, kB) - 1, std::max(kA, kB) - 1,
-        std::min(bA, bB) - 1, std::max(bA, bB) - 1};
-    detail::forAnchorRuns<4>(b, e, lows,
-                             [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i = start + r;
-            Complex tr(0, 0);
-            for (int s = 0; s < 4; ++s)
-                tr += rho[i + ketOff[s] + braOff[s]];
-            Complex mix = 0.25 * lambda * tr;
-            for (int ks = 0; ks < 4; ++ks) {
-                for (int bs = 0; bs < 4; ++bs) {
-                    Complex &v = rho[i + ketOff[ks] + braOff[bs]];
-                    v *= keep;
-                    if (ks == bs)
-                        v += mix;
-                }
-            }
-        }
-    });
-}
 
 /**
  * Where each slot of a 16-element (ket, bra) block is gathered from
@@ -281,7 +206,7 @@ depolarizing2qRange(Complex *rho, uint64_t b, uint64_t e, double lambda,
  * j = r * 4 + s is stored back at dst[j] = ketOff[r] + braOff[s] and
  * loads f[j] * rho[anchor + src[j]], with src[j] = ketOff[perm[r]] +
  * braOff[perm[s]] and f[j] = phase[r] * conj(phase[s]) — the
- * superopPerm2Range arithmetic, so the folded pass is bitwise equal to
+ * applySuperopPerm2 arithmetic, so the folded pass is bitwise equal to
  * the unitary pass followed by the noise pass. The identity PermPhase
  * makes src == dst and skips the multiply (plain noise pass).
  */
@@ -323,13 +248,13 @@ struct BlockGather
  * is detail::cxMul (the scalar complex product, no FMA); every later
  * operation is a real scalar times a complex value, applied in the
  * exact scalar sequence with plain mul/add intrinsics, so the result is
- * bit-identical to depolThermal2qRange. Requires min(kA, kB) >= 2 (the
- * qubit pair (0, 1) degenerates to length-1 runs and stays scalar).
+ * bit-identical to depolThermal2qPass's scalar loop. Requires
+ * min(kA, kB) >= 2 (the qubit pair (0, 1) degenerates to length-1 runs
+ * and stays scalar).
  */
 __attribute__((target("avx2"))) void
-depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
-                        const BlockGather &gather, double lambda,
-                        double gA, double cA, double gB, double cB)
+depolThermal2qAvx2(Complex *rho, uint64_t nBlocks, const BlockGather &gather,
+                   double lambda, double gA, double cA, double gB, double cB)
 {
     double *d = reinterpret_cast<double *>(rho);
     const __m256d keep = _mm256_set1_pd(1.0 - lambda);
@@ -341,17 +266,14 @@ depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
     const __m256d vgB = _mm256_set1_pd(gB);
     const __m256d vcB = _mm256_set1_pd(cB);
     const BlockGather g = gather;
+    // Runs are full and at least two long (a power of two), so anchors
+    // always come in pairs.
     const uint64_t runCap = g.lows[0] + 1;
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t anchor = t - lo;
+    for (uint64_t t = 0; t < nBlocks; t += runCap) {
+        uint64_t start = t;
         for (int m = 0; m < 4; ++m)
-            anchor = detail::depositZeroBit(anchor, g.lows[m]);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        const uint64_t start = anchor + lo;
-        uint64_t r = 0;
-        for (; r + 2 <= run; r += 2) {
+            start = detail::depositZeroBit(start, g.lows[m]);
+        for (uint64_t r = 0; r < runCap; r += 2) {
             const uint64_t i = start + r;
             __m256d v[16];
             for (int j = 0; j < 16; ++j)
@@ -396,66 +318,34 @@ depolThermal2qRangeAvx2(Complex *rho, uint64_t b, uint64_t e,
             for (int j = 0; j < 16; ++j)
                 _mm256_storeu_pd(d + 2 * (i + g.dst[j]), v[j]);
         }
-        for (; r < run; ++r) {
-            const uint64_t i = start + r;
-            const double keepS = 1.0 - lambda;
-            const double keepAS = 1.0 - gA, keepBS = 1.0 - gB;
-            Complex v[16];
-            if (g.phased)
-                for (int j = 0; j < 16; ++j)
-                    v[j] = g.f[j] * rho[i + g.src[j]];
-            else
-                for (int j = 0; j < 16; ++j)
-                    v[j] = rho[i + g.src[j]];
-            Complex mix = 0.25 * lambda * (v[0] + v[5] + v[10] + v[15]);
-            for (int s = 0; s < 16; ++s)
-                v[s] *= keepS;
-            v[0] += mix;
-            v[5] += mix;
-            v[10] += mix;
-            v[15] += mix;
-            for (int kB2 = 0; kB2 < 2; ++kB2)
-                for (int bB2 = 0; bB2 < 2; ++bB2) {
-                    const int base = 2 * kB2 * 4 + 2 * bB2;
-                    v[base] += gA * v[base + 5];
-                    v[base + 5] *= keepAS;
-                    v[base + 4] *= cA;
-                    v[base + 1] *= cA;
-                }
-            for (int kA2 = 0; kA2 < 2; ++kA2)
-                for (int bA2 = 0; bA2 < 2; ++bA2) {
-                    const int base = kA2 * 4 + bA2;
-                    v[base] += gB * v[base + 10];
-                    v[base + 10] *= keepBS;
-                    v[base + 8] *= cB;
-                    v[base + 2] *= cB;
-                }
-            for (int j = 0; j < 16; ++j)
-                rho[i + g.dst[j]] = v[j];
-        }
-        t += run;
     }
 }
 
 #endif // EQC_KERNEL_X86_DISPATCH
 
+/**
+ * The (permutation-phase unitary +) depolarizing + per-qubit thermal
+ * pass behind applyDepolThermal2q and its gate fold.
+ */
 void
-depolThermal2qRange(Complex *rho, uint64_t b, uint64_t e,
-                    const BlockGather &gather, double lambda, double gA,
-                    double cA, double gB, double cB)
+depolThermal2qPass(Complex *rho, int numQubits, const detail::PermPhase &pp,
+                   double lambda, int qubitA, double gA, double cA,
+                   int qubitB, double gB, double cB)
 {
+    const BlockGather g(pp, uint64_t{1} << qubitA, uint64_t{1} << qubitB,
+                        uint64_t{1} << (qubitA + numQubits),
+                        uint64_t{1} << (qubitB + numQubits));
+    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 4;
 #ifdef EQC_KERNEL_X86_DISPATCH
     // lows[0] == 0: a pair including qubit 0 has length-1 runs.
-    if (gather.lows[0] > 0 && detail::cpuHasAvx2()) {
-        depolThermal2qRangeAvx2(rho, b, e, gather, lambda, gA, cA, gB,
-                                cB);
+    if (g.lows[0] > 0 && detail::cpuHasAvx2()) {
+        depolThermal2qAvx2(rho, nBlocks, g, lambda, gA, cA, gB, cB);
         return;
     }
 #endif
     const double keep = 1.0 - lambda;
     const double keepA = 1.0 - gA, keepB = 1.0 - gB;
-    const BlockGather g = gather;
-    detail::forAnchorRuns<4>(b, e, g.lows,
+    detail::forAnchorRuns<4>(nBlocks, g.lows,
                              [&](uint64_t start, uint64_t run) {
         Complex v[16];
         for (uint64_t r = 0; r < run; ++r) {
@@ -507,45 +397,6 @@ depolThermal2qRange(Complex *rho, uint64_t b, uint64_t e,
     });
 }
 
-/** The noise pass behind applyDepolThermal2q and its gate fold. */
-void
-depolThermal2qPass(Complex *rho, int numQubits, TaskPool *pool,
-                   const detail::PermPhase &pp, double lambda, int qubitA,
-                   double gammaA, double coherenceA, int qubitB,
-                   double gammaB, double coherenceB)
-{
-    const BlockGather gather(
-        pp, uint64_t{1} << qubitA, uint64_t{1} << qubitB,
-        uint64_t{1} << (qubitA + numQubits),
-        uint64_t{1} << (qubitB + numQubits));
-    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 4;
-    detail::shardBlocks(pool, nBlocks, [=](uint64_t b, uint64_t e) {
-        depolThermal2qRange(rho, b, e, gather, lambda, gammaA, coherenceA,
-                            gammaB, coherenceB);
-    });
-}
-
-void
-thermalRange(Complex *rho, uint64_t b, uint64_t e, double gamma,
-             double coherence, uint64_t kBit, uint64_t bBit)
-{
-    const double keepPop = 1.0 - gamma;
-    const uint64_t lows[2] = {kBit - 1, bBit - 1};
-    detail::forAnchorRuns<2>(b, e, lows,
-                             [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i00 = start + r;
-            const uint64_t i10 = i00 + kBit;
-            const uint64_t i01 = i00 + bBit;
-            const uint64_t i11 = i10 + bBit;
-            rho[i00] += gamma * rho[i11];
-            rho[i11] *= keepPop;
-            rho[i10] *= coherence;
-            rho[i01] *= coherence;
-        }
-    });
-}
-
 } // namespace
 
 void
@@ -555,12 +406,27 @@ DensityMatrix::applyDepolarizing1q(double lambda, int qubit)
         panic("applyDepolarizing1q: qubit out of range");
     if (lambda <= 0.0)
         return;
+    const double keep = 1.0 - lambda;
     const uint64_t kBit = uint64_t{1} << qubit;           // ket bank
     const uint64_t bBit = uint64_t{1} << (qubit + numQubits_); // bra bank
+    const uint64_t lows[2] = {kBit - 1, bBit - 1};
     const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits_)) >> 2;
     Complex *rho = rho_.data();
-    detail::shardBlocks(pool(), nBlocks, [=](uint64_t b, uint64_t e) {
-        depolarizing1qRange(rho, b, e, lambda, kBit, bBit);
+    detail::forAnchorRuns<2>(nBlocks, lows,
+                             [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            // Block elements: (ket bit, bra bit) in {0,1}^2.
+            const uint64_t i00 = start + r;
+            const uint64_t i10 = i00 + kBit;
+            const uint64_t i01 = i00 + bBit;
+            const uint64_t i11 = i10 + bBit;
+            Complex d0 = rho[i00], d1 = rho[i11];
+            Complex avg = 0.5 * (d0 + d1);
+            rho[i00] = keep * d0 + lambda * avg;
+            rho[i11] = keep * d1 + lambda * avg;
+            rho[i10] *= keep;
+            rho[i01] *= keep;
+        }
     });
 }
 
@@ -573,14 +439,38 @@ DensityMatrix::applyDepolarizing2q(double lambda, int qubitA, int qubitB)
     }
     if (lambda <= 0.0)
         return;
+    const double keep = 1.0 - lambda;
     const uint64_t kA = uint64_t{1} << qubitA;
     const uint64_t kB = uint64_t{1} << qubitB;
     const uint64_t bA = uint64_t{1} << (qubitA + numQubits_);
     const uint64_t bB = uint64_t{1} << (qubitB + numQubits_);
+    uint64_t ketOff[4], braOff[4];
+    for (int j = 0; j < 4; ++j) {
+        ketOff[j] = (j & 1 ? kA : 0) | (j & 2 ? kB : 0);
+        braOff[j] = (j & 1 ? bA : 0) | (j & 2 ? bB : 0);
+    }
+    const uint64_t lows[4] = {
+        std::min(kA, kB) - 1, std::max(kA, kB) - 1,
+        std::min(bA, bB) - 1, std::max(bA, bB) - 1};
     const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits_)) >> 4;
     Complex *rho = rho_.data();
-    detail::shardBlocks(pool(), nBlocks, [=](uint64_t b, uint64_t e) {
-        depolarizing2qRange(rho, b, e, lambda, kA, kB, bA, bB);
+    detail::forAnchorRuns<4>(nBlocks, lows,
+                             [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i = start + r;
+            Complex tr(0, 0);
+            for (int s = 0; s < 4; ++s)
+                tr += rho[i + ketOff[s] + braOff[s]];
+            Complex mix = 0.25 * lambda * tr;
+            for (int ks = 0; ks < 4; ++ks) {
+                for (int bs = 0; bs < 4; ++bs) {
+                    Complex &v = rho[i + ketOff[ks] + braOff[bs]];
+                    v *= keep;
+                    if (ks == bs)
+                        v += mix;
+                }
+            }
+        }
     });
 }
 
@@ -595,9 +485,8 @@ DensityMatrix::applyDepolThermal2q(double lambda, int qubitA,
         panic("applyDepolThermal2q: invalid qubits");
     }
     const detail::PermPhase identity{{0, 1, 2, 3}, {1, 1, 1, 1}, true};
-    depolThermal2qPass(rho_.data(), numQubits_, pool(), identity, lambda,
-                       qubitA, gammaA, coherenceA, qubitB, gammaB,
-                       coherenceB);
+    depolThermal2qPass(rho_.data(), numQubits_, identity, lambda, qubitA,
+                       gammaA, coherenceA, qubitB, gammaB, coherenceB);
 }
 
 void
@@ -622,8 +511,8 @@ DensityMatrix::applyGate2DepolThermal2q(const Complex *u, double lambda,
                             gammaB, coherenceB);
         return;
     }
-    depolThermal2qPass(rho_.data(), numQubits_, pool(), pp, lambda, qubitA,
-                       gammaA, coherenceA, qubitB, gammaB, coherenceB);
+    depolThermal2qPass(rho_.data(), numQubits_, pp, lambda, qubitA, gammaA,
+                       coherenceA, qubitB, gammaB, coherenceB);
 }
 
 void
@@ -632,12 +521,24 @@ DensityMatrix::applyThermalRelaxation(int qubit, double gamma,
 {
     if (qubit < 0 || qubit >= numQubits_)
         panic("applyThermalRelaxation: qubit out of range");
+    const double keepPop = 1.0 - gamma;
     const uint64_t kBit = uint64_t{1} << qubit;
     const uint64_t bBit = uint64_t{1} << (qubit + numQubits_);
+    const uint64_t lows[2] = {kBit - 1, bBit - 1};
     const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits_)) >> 2;
     Complex *rho = rho_.data();
-    detail::shardBlocks(pool(), nBlocks, [=](uint64_t b, uint64_t e) {
-        thermalRange(rho, b, e, gamma, coherence, kBit, bBit);
+    detail::forAnchorRuns<2>(nBlocks, lows,
+                             [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i00 = start + r;
+            const uint64_t i10 = i00 + kBit;
+            const uint64_t i01 = i00 + bBit;
+            const uint64_t i11 = i10 + bBit;
+            rho[i00] += gamma * rho[i11];
+            rho[i11] *= keepPop;
+            rho[i10] *= coherence;
+            rho[i01] *= coherence;
+        }
     });
 }
 

@@ -26,7 +26,6 @@ namespace eqc {
 
 class PauliString;
 class Statevector;
-class TaskPool;
 
 /** Mixed-state simulator over n qubits (n <= 13). */
 class DensityMatrix
@@ -147,22 +146,12 @@ class DensityMatrix
     /** Tr(rho^2); 1 for pure states, 1/2^n for maximally mixed. */
     double purity() const;
 
-    /**
-     * Pool used for block-parallel apply (null: the shared pool).
-     * Results are bit-identical for every pool size — blocks are
-     * disjoint — so this only trades wall-clock time.
-     */
-    void setTaskPool(TaskPool *pool) { pool_ = pool; }
-
   private:
-    TaskPool *pool() const;
-
     /** @p deadQubits names only qubits of this state, not @p qubit. */
     bool validDeadMask(uint64_t deadQubits, int qubit) const;
 
     int numQubits_;
     CVector rho_;
-    mutable TaskPool *pool_ = nullptr;
 };
 
 } // namespace eqc

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/task_pool.h"
-
 // Runtime-dispatched SIMD paths (cpuid-gated, portable binaries).
 // -DEQC_NO_SIMD_DISPATCH opts out, e.g. to benchmark the scalar path.
 // The gate and the cpuid probe are shared with density_matrix.cc
@@ -13,12 +11,12 @@
 namespace eqc {
 namespace detail {
 
-// Every kernel below follows the same two-layer shape: a standalone
-// *worker* owning the hot loop (all operands copied into locals whose
-// addresses never escape, so the compiler keeps them in registers), and
-// a thin dispatcher that either calls the worker inline or hands the
-// pool a by-value forwarding lambda. See shardBlocks() in kernel.h for
-// why the hot loop must not live inside the lambda itself.
+// Every kernel below runs one serial pass over all of its blocks, with
+// its operands copied into locals whose addresses never escape, so the
+// compiler keeps them in registers. Each public kernel holds its own
+// loop, with two exceptions: the AVX2 variants, which need the avx2
+// target attribute (the portable kernel calls its twin when the CPU
+// has AVX2), and superop2Blocks (see there).
 
 namespace {
 
@@ -77,8 +75,9 @@ mat1Lanes(const __m256d *mr, const __m256d *mi, __m256d &v0, __m256d &v1,
 /**
  * AVX2 widening of the dense 4x4 channel superoperator apply —
  * the hottest noisy-path kernel (every SX/X rides through it as a
- * composed gate+noise pass). Bit-identical to superopMat1Range on
- * every live block; dead blocks (see LiveBlocks1q) are not touched.
+ * composed gate+noise pass). Bit-identical to applySuperopMat1's
+ * scalar loop on every live block; dead blocks (see LiveBlocks1q) are
+ * not touched.
  *
  * Three shapes: for kBit == 1 (qubit 0, where every anchor run
  * degenerates to length one) the block's ket pair (v0, v1) is adjacent
@@ -89,8 +88,7 @@ mat1Lanes(const __m256d *mr, const __m256d *mi, __m256d &v0, __m256d &v1,
  * consecutive live anchors per iteration, one per 128-bit lane.
  */
 __attribute__((target("avx2"))) void
-superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
-                     LiveBlocks1q lb)
+superopMat1Avx2(Complex *rho, const Complex *s, LiveBlocks1q lb)
 {
     double *d = reinterpret_cast<double *>(rho);
     Complex m[16];
@@ -113,8 +111,8 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
             ciB[j] = _mm256_setr_pd(m[8 + j].imag(), m[8 + j].imag(),
                                     m[12 + j].imag(), m[12 + j].imag());
         }
-        uint64_t x = lb.deposit(b);
-        for (uint64_t t = b; t < e; ++t, x = lb.next(x)) {
+        uint64_t x = 0;
+        for (uint64_t t = 0; t < lb.count; ++t, x = lb.next(x)) {
             const uint64_t i = lb.anchor(x);
             double *pk = d + 2 * i;
             double *pb = d + 2 * (i + bBit);
@@ -143,22 +141,13 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
         mr[j] = _mm256_set1_pd(m[j].real());
         mi[j] = _mm256_set1_pd(m[j].imag());
     }
-    const auto single = [&](uint64_t i) {
-        const uint64_t iK = i + kBit;
-        const uint64_t iB = i + bBit;
-        const uint64_t iKB = iK + bBit;
-        const Complex v0 = rho[i], v1 = rho[iK];
-        const Complex v2 = rho[iB], v3 = rho[iKB];
-        rho[i] = m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3;
-        rho[iK] = m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3;
-        rho[iB] = m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3;
-        rho[iKB] = m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3;
-    };
+    // Runs of one come from a dead qubit 0, which leaves an even count
+    // of live blocks; longer runs are powers of two. So every shape
+    // below works in pairs and never leaves one block over.
     const uint64_t runCap = lb.runCap;
-    uint64_t x = lb.deposit(b);
-    uint64_t t = b;
+    uint64_t x = 0;
     if (runCap == 1) {
-        for (; t + 2 <= e; t += 2) {
+        for (uint64_t t = 0; t < lb.count; t += 2) {
             const uint64_t i = lb.anchor(x);
             x = lb.next(x);
             const uint64_t j = lb.anchor(x);
@@ -176,15 +165,11 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
             storePair(pi + 2 * bBit, pj + 2 * bBit, v2);
             storePair(pi + 2 * (kBit + bBit), pj + 2 * (kBit + bBit), v3);
         }
-        if (t < e)
-            single(lb.anchor(x));
         return;
     }
-    while (t < e) {
-        const uint64_t run = std::min(runCap - (t & (runCap - 1)), e - t);
+    for (uint64_t t = 0; t < lb.count; t += runCap) {
         const uint64_t start = lb.anchor(x);
-        uint64_t r = 0;
-        for (; r + 2 <= run; r += 2) {
+        for (uint64_t r = 0; r < runCap; r += 2) {
             const uint64_t i = start + r;
             double *p0 = d + 2 * i;
             double *p1 = d + 2 * (i + kBit);
@@ -200,21 +185,17 @@ superopMat1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
             _mm256_storeu_pd(p2, v2);
             _mm256_storeu_pd(p3, v3);
         }
-        for (; r < run; ++r)
-            single(start + r);
-        t += run;
-        x = lb.next(x + run - 1);
+        x = lb.next(x + runCap - 1);
     }
 }
 
 /**
  * AVX2 widening of the 1q diagonal superoperator (four elementwise
- * phase-factor streams). Bit-identical to superopDiag1Range on every
- * live block; the same three shapes as superopMat1RangeAvx2.
+ * phase-factor streams). Bit-identical to applySuperopDiag1's scalar
+ * loop on every live block; the same three shapes as superopMat1Avx2.
  */
 __attribute__((target("avx2"))) void
-superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
-                      Complex d1, LiveBlocks1q lb)
+superopDiag1Avx2(Complex *rho, Complex d0, Complex d1, LiveBlocks1q lb)
 {
     double *d = reinterpret_cast<double *>(rho);
     const Complex f00 = d0 * std::conj(d0);
@@ -235,8 +216,8 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
                                            f11.real(), f11.real());
         const __m256d fbi = _mm256_setr_pd(f01.imag(), f01.imag(),
                                            f11.imag(), f11.imag());
-        uint64_t x = lb.deposit(b);
-        for (uint64_t t = b; t < e; ++t, x = lb.next(x)) {
+        uint64_t x = 0;
+        for (uint64_t t = 0; t < lb.count; ++t, x = lb.next(x)) {
             const uint64_t i = lb.anchor(x);
             double *pk = d + 2 * i;
             double *pb = d + 2 * (i + bBit);
@@ -254,17 +235,10 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
     const __m256d f10i = _mm256_set1_pd(f10.imag());
     const __m256d f11r = _mm256_set1_pd(f11.real());
     const __m256d f11i = _mm256_set1_pd(f11.imag());
-    const auto single = [&](uint64_t i) {
-        rho[i] *= f00;
-        rho[i + bBit] *= f01;
-        rho[i + kBit] *= f10;
-        rho[i + kBit + bBit] *= f11;
-    };
     const uint64_t runCap = lb.runCap;
-    uint64_t x = lb.deposit(b);
-    uint64_t t = b;
+    uint64_t x = 0;
     if (runCap == 1) {
-        for (; t + 2 <= e; t += 2) {
+        for (uint64_t t = 0; t < lb.count; t += 2) {
             const uint64_t i = lb.anchor(x);
             x = lb.next(x);
             const uint64_t j = lb.anchor(x);
@@ -278,15 +252,11 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
             storePair(p10, q10, cxMul(loadPair(p10, q10), f10r, f10i));
             storePair(p11, q11, cxMul(loadPair(p11, q11), f11r, f11i));
         }
-        if (t < e)
-            single(lb.anchor(x));
         return;
     }
-    while (t < e) {
-        const uint64_t run = std::min(runCap - (t & (runCap - 1)), e - t);
+    for (uint64_t t = 0; t < lb.count; t += runCap) {
         const uint64_t start = lb.anchor(x);
-        uint64_t r = 0;
-        for (; r + 2 <= run; r += 2) {
+        for (uint64_t r = 0; r < runCap; r += 2) {
             const uint64_t i = start + r;
             double *p00 = d + 2 * i;
             double *p01 = d + 2 * (i + bBit);
@@ -301,181 +271,22 @@ superopDiag1RangeAvx2(Complex *rho, uint64_t b, uint64_t e, Complex d0,
             _mm256_storeu_pd(p11,
                              cxMul(_mm256_loadu_pd(p11), f11r, f11i));
         }
-        for (; r < run; ++r)
-            single(start + r);
-        t += run;
-        x = lb.next(x + run - 1);
+        x = lb.next(x + runCap - 1);
     }
 }
 
 #endif // EQC_KERNEL_X86_DISPATCH
 
+/**
+ * applySuperop2's block loop over ket masks @p mk0, @p mk1 and bra
+ * masks @p mb0, @p mb1. It stays a function of its own: folded into
+ * applySuperop2, where the masks are shifts of the qubit indices, GCC
+ * 12 at -O3 compiled it about 25% slower (BM_Superop2q/8, best of six
+ * runs on one pinned x86-64 core: 0.91 against 0.70 ms).
+ */
 void
-gate1Range(Complex *amp, uint64_t b, uint64_t e, const Complex *uIn,
-           uint64_t step)
-{
-    const Complex u00 = uIn[0], u01 = uIn[1];
-    const Complex u10 = uIn[2], u11 = uIn[3];
-    const uint64_t lows[1] = {step - 1};
-    forAnchorRuns<1>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i0 = start + r;
-            const uint64_t i1 = i0 + step;
-            const Complex a0 = amp[i0], a1 = amp[i1];
-            amp[i0] = u00 * a0 + u01 * a1;
-            amp[i1] = u10 * a0 + u11 * a1;
-        }
-    });
-}
-
-void
-diag1Range(Complex *amp, uint64_t b, uint64_t e, Complex d0, Complex d1,
-           uint64_t step)
-{
-    const uint64_t lows[1] = {step - 1};
-    forAnchorRuns<1>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            amp[start + r] *= d0;
-            amp[start + r + step] *= d1;
-        }
-    });
-}
-
-void
-gate2Range(Complex *amp, uint64_t b, uint64_t e, const Complex *uIn,
-           uint64_t m0, uint64_t m1)
-{
-    Complex u[16];
-    for (int j = 0; j < 16; ++j)
-        u[j] = uIn[j];
-    const uint64_t lows[2] = {std::min(m0, m1) - 1, std::max(m0, m1) - 1};
-    forAnchorRuns<2>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i0 = start + r;
-            const uint64_t i1 = i0 + m0;
-            const uint64_t i2 = i0 + m1;
-            const uint64_t i3 = i1 + m1;
-            const Complex g0 = amp[i0], g1 = amp[i1];
-            const Complex g2 = amp[i2], g3 = amp[i3];
-            amp[i0] = u[0] * g0 + u[1] * g1 + u[2] * g2 + u[3] * g3;
-            amp[i1] = u[4] * g0 + u[5] * g1 + u[6] * g2 + u[7] * g3;
-            amp[i2] = u[8] * g0 + u[9] * g1 + u[10] * g2 + u[11] * g3;
-            amp[i3] = u[12] * g0 + u[13] * g1 + u[14] * g2 + u[15] * g3;
-        }
-    });
-}
-
-void
-diag2Range(Complex *amp, uint64_t b, uint64_t e, const Complex *dIn,
-           uint64_t m0, uint64_t m1)
-{
-    const Complex d0 = dIn[0], d1 = dIn[1], d2 = dIn[2], d3 = dIn[3];
-    const uint64_t lows[2] = {std::min(m0, m1) - 1, std::max(m0, m1) - 1};
-    forAnchorRuns<2>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i0 = start + r;
-            amp[i0] *= d0;
-            amp[i0 + m0] *= d1;
-            amp[i0 + m1] *= d2;
-            amp[i0 + m0 + m1] *= d3;
-        }
-    });
-}
-
-void
-superop1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
-              uint64_t kBit, uint64_t bBit)
-{
-    const Complex u00 = uIn[0], u01 = uIn[1];
-    const Complex u10 = uIn[2], u11 = uIn[3];
-    const Complex c00 = std::conj(u00), c01 = std::conj(u01);
-    const Complex c10 = std::conj(u10), c11 = std::conj(u11);
-    const uint64_t lows[2] = {kBit - 1, bBit - 1};
-    forAnchorRuns<2>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i = start + r;
-            const uint64_t iK = i + kBit;
-            const uint64_t iB = i + bBit;
-            const uint64_t iKB = iK + bBit;
-            // Block blk[r][s] over (ket sub-index r, bra sub-index s).
-            const Complex b00 = rho[i], b01 = rho[iB];
-            const Complex b10 = rho[iK], b11 = rho[iKB];
-            // rho' = U blk U^dagger in one pass.
-            const Complex t00 = u00 * b00 + u01 * b10;
-            const Complex t01 = u00 * b01 + u01 * b11;
-            const Complex t10 = u10 * b00 + u11 * b10;
-            const Complex t11 = u10 * b01 + u11 * b11;
-            rho[i] = t00 * c00 + t01 * c01;
-            rho[iB] = t00 * c10 + t01 * c11;
-            rho[iK] = t10 * c00 + t11 * c01;
-            rho[iKB] = t10 * c10 + t11 * c11;
-        }
-    });
-}
-
-void
-superopMat1Range(Complex *rho, uint64_t b, uint64_t e, const Complex *s,
-                 LiveBlocks1q lb)
-{
-#ifdef EQC_KERNEL_X86_DISPATCH
-    if (cpuHasAvx2()) {
-        superopMat1RangeAvx2(rho, b, e, s, lb);
-        return;
-    }
-#endif
-    // Dense 4x4 channel superoperator over sub-index j = k + 2b.
-    Complex m[16];
-    for (int i = 0; i < 16; ++i)
-        m[i] = s[i];
-    const uint64_t kBit = lb.kBit;
-    const uint64_t bBit = lb.bBit;
-    forLiveAnchorRuns(lb, b, e, [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i = start + r;
-            const uint64_t iK = i + kBit;
-            const uint64_t iB = i + bBit;
-            const uint64_t iKB = iK + bBit;
-            const Complex v0 = rho[i], v1 = rho[iK];
-            const Complex v2 = rho[iB], v3 = rho[iKB];
-            rho[i] = m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3;
-            rho[iK] = m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3;
-            rho[iB] = m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3;
-            rho[iKB] =
-                m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3;
-        }
-    });
-}
-
-void
-superopDiag1Range(Complex *rho, uint64_t b, uint64_t e, Complex d0,
-                  Complex d1, LiveBlocks1q lb)
-{
-#ifdef EQC_KERNEL_X86_DISPATCH
-    if (cpuHasAvx2()) {
-        superopDiag1RangeAvx2(rho, b, e, d0, d1, lb);
-        return;
-    }
-#endif
-    const Complex f00 = d0 * std::conj(d0);
-    const Complex f01 = d0 * std::conj(d1);
-    const Complex f10 = d1 * std::conj(d0);
-    const Complex f11 = d1 * std::conj(d1);
-    const uint64_t kBit = lb.kBit;
-    const uint64_t bBit = lb.bBit;
-    forLiveAnchorRuns(lb, b, e, [&](uint64_t start, uint64_t run) {
-        for (uint64_t r = 0; r < run; ++r) {
-            const uint64_t i = start + r;
-            rho[i] *= f00;
-            rho[i + bBit] *= f01;
-            rho[i + kBit] *= f10;
-            rho[i + kBit + bBit] *= f11;
-        }
-    });
-}
-
-void
-superop2Range(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
-              uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
+superop2Blocks(Complex *rho, uint64_t nBlocks, const Complex *uIn,
+               uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
 {
     Complex u[16], cu[16];
     for (int j = 0; j < 16; ++j) {
@@ -487,9 +298,10 @@ superop2Range(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
         ketOff[j] = (j & 1 ? mk0 : 0) | (j & 2 ? mk1 : 0);
         braOff[j] = (j & 1 ? mb0 : 0) | (j & 2 ? mb1 : 0);
     }
-    uint64_t lows[4] = {std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
-                        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
-    forAnchorRuns<4>(b, e, lows, [&](uint64_t start, uint64_t run) {
+    const uint64_t lows[4] = {
+        std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
+        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
+    forAnchorRuns<4>(nBlocks, lows, [&](uint64_t start, uint64_t run) {
         Complex blk[4][4], tmp[4][4];
         for (uint64_t x = 0; x < run; ++x) {
             const uint64_t i = start + x;
@@ -516,236 +328,79 @@ superop2Range(Complex *rho, uint64_t b, uint64_t e, const Complex *uIn,
     });
 }
 
-void
-superopDiag2Range(Complex *rho, uint64_t b, uint64_t e, const Complex *dIn,
-                  uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
-{
-    uint64_t off[4][4];
-    Complex f[4][4];
-    for (int r = 0; r < 4; ++r) {
-        for (int s = 0; s < 4; ++s) {
-            off[r][s] = ((r & 1 ? mk0 : 0) | (r & 2 ? mk1 : 0)) +
-                        ((s & 1 ? mb0 : 0) | (s & 2 ? mb1 : 0));
-            f[r][s] = dIn[r] * std::conj(dIn[s]);
-        }
-    }
-    uint64_t lows[4] = {std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
-                        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
-    forAnchorRuns<4>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        for (uint64_t x = 0; x < run; ++x) {
-            const uint64_t i = start + x;
-            for (int r = 0; r < 4; ++r)
-                for (int s = 0; s < 4; ++s)
-                    rho[i + off[r][s]] *= f[r][s];
-        }
-    });
-}
-
-void
-permPhase1Range(Complex *amp, uint64_t b, uint64_t e, Complex p0,
-                Complex p1, bool unit, uint64_t step)
-{
-    // 1q non-diagonal permutation is always the swap {1, 0}.
-    const uint64_t lows[1] = {step - 1};
-    forAnchorRuns<1>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        if (unit) {
-            for (uint64_t r = 0; r < run; ++r) {
-                const uint64_t i0 = start + r;
-                std::swap(amp[i0], amp[i0 + step]);
-            }
-        } else {
-            for (uint64_t r = 0; r < run; ++r) {
-                const uint64_t i0 = start + r;
-                const Complex a0 = amp[i0], a1 = amp[i0 + step];
-                amp[i0] = p0 * a1;
-                amp[i0 + step] = p1 * a0;
-            }
-        }
-    });
-}
-
-void
-permPhase2Range(Complex *amp, uint64_t b, uint64_t e, PermPhase pp,
-                uint64_t m0, uint64_t m1)
-{
-    uint64_t off[4];
-    for (int j = 0; j < 4; ++j)
-        off[j] = (j & 1 ? m0 : 0) + (j & 2 ? m1 : 0);
-    const uint64_t lows[2] = {std::min(m0, m1) - 1, std::max(m0, m1) - 1};
-    forAnchorRuns<2>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        if (pp.unitPhases) {
-            for (uint64_t r = 0; r < run; ++r) {
-                const uint64_t i = start + r;
-                const Complex g0 = amp[i + off[pp.perm[0]]];
-                const Complex g1 = amp[i + off[pp.perm[1]]];
-                const Complex g2 = amp[i + off[pp.perm[2]]];
-                const Complex g3 = amp[i + off[pp.perm[3]]];
-                amp[i + off[0]] = g0;
-                amp[i + off[1]] = g1;
-                amp[i + off[2]] = g2;
-                amp[i + off[3]] = g3;
-            }
-        } else {
-            for (uint64_t r = 0; r < run; ++r) {
-                const uint64_t i = start + r;
-                const Complex g0 = amp[i + off[pp.perm[0]]];
-                const Complex g1 = amp[i + off[pp.perm[1]]];
-                const Complex g2 = amp[i + off[pp.perm[2]]];
-                const Complex g3 = amp[i + off[pp.perm[3]]];
-                amp[i + off[0]] = pp.phase[0] * g0;
-                amp[i + off[1]] = pp.phase[1] * g1;
-                amp[i + off[2]] = pp.phase[2] * g2;
-                amp[i + off[3]] = pp.phase[3] * g3;
-            }
-        }
-    });
-}
-
-void
-superopPerm1Range(Complex *rho, uint64_t b, uint64_t e, Complex p0,
-                  Complex p1, bool unit, uint64_t kBit, uint64_t bBit)
-{
-    // Perm is the swap: block entry (r, s) <- f[r][s] * entry (1-r, 1-s).
-    const Complex f00 = p0 * std::conj(p0);
-    const Complex f01 = p0 * std::conj(p1);
-    const Complex f10 = p1 * std::conj(p0);
-    const Complex f11 = p1 * std::conj(p1);
-    const uint64_t lows[2] = {kBit - 1, bBit - 1};
-    forAnchorRuns<2>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        if (unit) {
-            for (uint64_t r = 0; r < run; ++r) {
-                const uint64_t i = start + r;
-                std::swap(rho[i], rho[i + kBit + bBit]);
-                std::swap(rho[i + kBit], rho[i + bBit]);
-            }
-        } else {
-            for (uint64_t r = 0; r < run; ++r) {
-                const uint64_t i = start + r;
-                const Complex b00 = rho[i], b01 = rho[i + bBit];
-                const Complex b10 = rho[i + kBit];
-                const Complex b11 = rho[i + kBit + bBit];
-                rho[i] = f00 * b11;
-                rho[i + bBit] = f01 * b10;
-                rho[i + kBit] = f10 * b01;
-                rho[i + kBit + bBit] = f11 * b00;
-            }
-        }
-    });
-}
-
-void
-superopPerm2Range(Complex *rho, uint64_t b, uint64_t e, PermPhase pp,
-                  uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
-{
-    uint64_t ketOff[4], braOff[4];
-    for (int j = 0; j < 4; ++j) {
-        ketOff[j] = (j & 1 ? mk0 : 0) | (j & 2 ? mk1 : 0);
-        braOff[j] = (j & 1 ? mb0 : 0) | (j & 2 ? mb1 : 0);
-    }
-    // Destination offset and source offset per block slot, plus the
-    // phase factor phase[r] * conj(phase[s]).
-    uint64_t dst[16], src[16];
-    Complex f[16];
-    for (int r = 0; r < 4; ++r) {
-        for (int s = 0; s < 4; ++s) {
-            dst[r * 4 + s] = ketOff[r] + braOff[s];
-            src[r * 4 + s] = ketOff[pp.perm[r]] + braOff[pp.perm[s]];
-            f[r * 4 + s] = pp.phase[r] * std::conj(pp.phase[s]);
-        }
-    }
-    uint64_t lows[4] = {std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
-                        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
-    const bool unit = pp.unitPhases;
-    forAnchorRuns<4>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        Complex g[16];
-        for (uint64_t x = 0; x < run; ++x) {
-            const uint64_t i = start + x;
-            for (int j = 0; j < 16; ++j)
-                g[j] = rho[i + src[j]];
-            if (unit) {
-                for (int j = 0; j < 16; ++j)
-                    rho[i + dst[j]] = g[j];
-            } else {
-                for (int j = 0; j < 16; ++j)
-                    rho[i + dst[j]] = f[j] * g[j];
-            }
-        }
-    });
-}
-
-void
-superopMat2Range(Complex *rho, uint64_t b, uint64_t e, const Complex *Sin,
-                 uint64_t mk0, uint64_t mk1, uint64_t mb0, uint64_t mb1)
-{
-    Complex S[256];
-    for (int j = 0; j < 256; ++j)
-        S[j] = Sin[j];
-    // Vector index v = ketSub + 4 * braSub: bit 0 -> mk0, bit 1 -> mk1,
-    // bit 2 -> mb0, bit 3 -> mb1.
-    uint64_t off[16];
-    for (int v = 0; v < 16; ++v)
-        off[v] = (v & 1 ? mk0 : 0) + (v & 2 ? mk1 : 0) +
-                 (v & 4 ? mb0 : 0) + (v & 8 ? mb1 : 0);
-    uint64_t lows[4] = {std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
-                        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
-    forAnchorRuns<4>(b, e, lows, [&](uint64_t start, uint64_t run) {
-        Complex g[16];
-        for (uint64_t x = 0; x < run; ++x) {
-            const uint64_t i = start + x;
-            for (int v = 0; v < 16; ++v)
-                g[v] = rho[i + off[v]];
-            for (int vp = 0; vp < 16; ++vp) {
-                const Complex *row = S + 16 * vp;
-                Complex acc(0, 0);
-                for (int v = 0; v < 16; ++v)
-                    acc += row[v] * g[v];
-                rho[i + off[vp]] = acc;
-            }
-        }
-    });
-}
-
 } // namespace
 
 void
-applyGate1(Complex *amp, uint64_t dim, const Complex *u, int qubit,
-           TaskPool *pool)
+applyGate1(Complex *amp, uint64_t dim, const Complex *u, int qubit)
+{
+    const Complex u00 = u[0], u01 = u[1];
+    const Complex u10 = u[2], u11 = u[3];
+    const uint64_t step = uint64_t{1} << qubit;
+    const uint64_t lows[1] = {step - 1};
+    forAnchorRuns<1>(dim >> 1, lows, [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i0 = start + r;
+            const uint64_t i1 = i0 + step;
+            const Complex a0 = amp[i0], a1 = amp[i1];
+            amp[i0] = u00 * a0 + u01 * a1;
+            amp[i1] = u10 * a0 + u11 * a1;
+        }
+    });
+}
+
+void
+applyDiag1(Complex *amp, uint64_t dim, Complex d0, Complex d1, int qubit)
 {
     const uint64_t step = uint64_t{1} << qubit;
-    shardBlocks(pool, dim >> 1, [=](uint64_t b, uint64_t e) {
-        gate1Range(amp, b, e, u, step);
+    const uint64_t lows[1] = {step - 1};
+    forAnchorRuns<1>(dim >> 1, lows, [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            amp[start + r] *= d0;
+            amp[start + r + step] *= d1;
+        }
     });
 }
 
 void
-applyDiag1(Complex *amp, uint64_t dim, Complex d0, Complex d1, int qubit,
-           TaskPool *pool)
+applyGate2(Complex *amp, uint64_t dim, const Complex *uIn, int q0, int q1)
 {
-    const uint64_t step = uint64_t{1} << qubit;
-    shardBlocks(pool, dim >> 1, [=](uint64_t b, uint64_t e) {
-        diag1Range(amp, b, e, d0, d1, step);
-    });
-}
-
-void
-applyGate2(Complex *amp, uint64_t dim, const Complex *u, int q0, int q1,
-           TaskPool *pool)
-{
+    Complex u[16];
+    for (int j = 0; j < 16; ++j)
+        u[j] = uIn[j];
     const uint64_t m0 = uint64_t{1} << q0;
     const uint64_t m1 = uint64_t{1} << q1;
-    shardBlocks(pool, dim >> 2, [=](uint64_t b, uint64_t e) {
-        gate2Range(amp, b, e, u, m0, m1);
+    const uint64_t lows[2] = {std::min(m0, m1) - 1, std::max(m0, m1) - 1};
+    forAnchorRuns<2>(dim >> 2, lows, [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i0 = start + r;
+            const uint64_t i1 = i0 + m0;
+            const uint64_t i2 = i0 + m1;
+            const uint64_t i3 = i1 + m1;
+            const Complex g0 = amp[i0], g1 = amp[i1];
+            const Complex g2 = amp[i2], g3 = amp[i3];
+            amp[i0] = u[0] * g0 + u[1] * g1 + u[2] * g2 + u[3] * g3;
+            amp[i1] = u[4] * g0 + u[5] * g1 + u[6] * g2 + u[7] * g3;
+            amp[i2] = u[8] * g0 + u[9] * g1 + u[10] * g2 + u[11] * g3;
+            amp[i3] = u[12] * g0 + u[13] * g1 + u[14] * g2 + u[15] * g3;
+        }
     });
 }
 
 void
-applyDiag2(Complex *amp, uint64_t dim, const Complex *d, int q0, int q1,
-           TaskPool *pool)
+applyDiag2(Complex *amp, uint64_t dim, const Complex *d, int q0, int q1)
 {
+    const Complex d0 = d[0], d1 = d[1], d2 = d[2], d3 = d[3];
     const uint64_t m0 = uint64_t{1} << q0;
     const uint64_t m1 = uint64_t{1} << q1;
-    shardBlocks(pool, dim >> 2, [=](uint64_t b, uint64_t e) {
-        diag2Range(amp, b, e, d, m0, m1);
+    const uint64_t lows[2] = {std::min(m0, m1) - 1, std::max(m0, m1) - 1};
+    forAnchorRuns<2>(dim >> 2, lows, [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i0 = start + r;
+            amp[i0] *= d0;
+            amp[i0 + m0] *= d1;
+            amp[i0 + m1] *= d2;
+            amp[i0 + m0 + m1] *= d3;
+        }
     });
 }
 
@@ -794,25 +449,67 @@ classifyGate(const Complex *u, int sub, Complex *diag, PermPhase &pp)
 }
 
 void
-applyPermPhase1(Complex *amp, uint64_t dim, const PermPhase &pp, int qubit,
-                TaskPool *pool)
+applyPermPhase1(Complex *amp, uint64_t dim, const PermPhase &pp, int qubit)
 {
-    const uint64_t step = uint64_t{1} << qubit;
+    // 1q non-diagonal permutation is always the swap {1, 0}.
     const Complex p0 = pp.phase[0], p1 = pp.phase[1];
     const bool unit = pp.unitPhases;
-    shardBlocks(pool, dim >> 1, [=](uint64_t b, uint64_t e) {
-        permPhase1Range(amp, b, e, p0, p1, unit, step);
+    const uint64_t step = uint64_t{1} << qubit;
+    const uint64_t lows[1] = {step - 1};
+    forAnchorRuns<1>(dim >> 1, lows, [&](uint64_t start, uint64_t run) {
+        if (unit) {
+            for (uint64_t r = 0; r < run; ++r) {
+                const uint64_t i0 = start + r;
+                std::swap(amp[i0], amp[i0 + step]);
+            }
+        } else {
+            for (uint64_t r = 0; r < run; ++r) {
+                const uint64_t i0 = start + r;
+                const Complex a0 = amp[i0], a1 = amp[i0 + step];
+                amp[i0] = p0 * a1;
+                amp[i0 + step] = p1 * a0;
+            }
+        }
     });
 }
 
 void
-applyPermPhase2(Complex *amp, uint64_t dim, const PermPhase &pp, int q0,
-                int q1, TaskPool *pool)
+applyPermPhase2(Complex *amp, uint64_t dim, const PermPhase &ppIn, int q0,
+                int q1)
 {
+    const PermPhase pp = ppIn;
     const uint64_t m0 = uint64_t{1} << q0;
     const uint64_t m1 = uint64_t{1} << q1;
-    shardBlocks(pool, dim >> 2, [=](uint64_t b, uint64_t e) {
-        permPhase2Range(amp, b, e, pp, m0, m1);
+    uint64_t off[4];
+    for (int j = 0; j < 4; ++j)
+        off[j] = (j & 1 ? m0 : 0) + (j & 2 ? m1 : 0);
+    const uint64_t lows[2] = {std::min(m0, m1) - 1, std::max(m0, m1) - 1};
+    forAnchorRuns<2>(dim >> 2, lows, [&](uint64_t start, uint64_t run) {
+        if (pp.unitPhases) {
+            for (uint64_t r = 0; r < run; ++r) {
+                const uint64_t i = start + r;
+                const Complex g0 = amp[i + off[pp.perm[0]]];
+                const Complex g1 = amp[i + off[pp.perm[1]]];
+                const Complex g2 = amp[i + off[pp.perm[2]]];
+                const Complex g3 = amp[i + off[pp.perm[3]]];
+                amp[i + off[0]] = g0;
+                amp[i + off[1]] = g1;
+                amp[i + off[2]] = g2;
+                amp[i + off[3]] = g3;
+            }
+        } else {
+            for (uint64_t r = 0; r < run; ++r) {
+                const uint64_t i = start + r;
+                const Complex g0 = amp[i + off[pp.perm[0]]];
+                const Complex g1 = amp[i + off[pp.perm[1]]];
+                const Complex g2 = amp[i + off[pp.perm[2]]];
+                const Complex g3 = amp[i + off[pp.perm[3]]];
+                amp[i + off[0]] = pp.phase[0] * g0;
+                amp[i + off[1]] = pp.phase[1] * g1;
+                amp[i + off[2]] = pp.phase[2] * g2;
+                amp[i + off[3]] = pp.phase[3] * g3;
+            }
+        }
     });
 }
 
@@ -860,105 +557,260 @@ applyGateK(Complex *amp, uint64_t dim, const CMatrix &u, const int *qubits,
 }
 
 void
-applySuperop1(Complex *rho, int numQubits, const Complex *u, int qubit,
-              TaskPool *pool)
+applySuperop1(Complex *rho, int numQubits, const Complex *u, int qubit)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
+    const Complex u00 = u[0], u01 = u[1];
+    const Complex u10 = u[2], u11 = u[3];
+    const Complex c00 = std::conj(u00), c01 = std::conj(u01);
+    const Complex c10 = std::conj(u10), c11 = std::conj(u11);
     const uint64_t kBit = uint64_t{1} << qubit;
     const uint64_t bBit = uint64_t{1} << (qubit + numQubits);
-    shardBlocks(pool, dimSq >> 2, [=](uint64_t b, uint64_t e) {
-        superop1Range(rho, b, e, u, kBit, bBit);
+    const uint64_t lows[2] = {kBit - 1, bBit - 1};
+    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 2;
+    forAnchorRuns<2>(nBlocks, lows, [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i = start + r;
+            const uint64_t iK = i + kBit;
+            const uint64_t iB = i + bBit;
+            const uint64_t iKB = iK + bBit;
+            // Block blk[r][s] over (ket sub-index r, bra sub-index s).
+            const Complex b00 = rho[i], b01 = rho[iB];
+            const Complex b10 = rho[iK], b11 = rho[iKB];
+            // rho' = U blk U^dagger in one pass.
+            const Complex t00 = u00 * b00 + u01 * b10;
+            const Complex t01 = u00 * b01 + u01 * b11;
+            const Complex t10 = u10 * b00 + u11 * b10;
+            const Complex t11 = u10 * b01 + u11 * b11;
+            rho[i] = t00 * c00 + t01 * c01;
+            rho[iB] = t00 * c10 + t01 * c11;
+            rho[iK] = t10 * c00 + t11 * c01;
+            rho[iKB] = t10 * c10 + t11 * c11;
+        }
     });
 }
 
 void
 applySuperopMat1(Complex *rho, int numQubits, const Complex *s, int qubit,
-                 TaskPool *pool, uint64_t deadQubits)
+                 uint64_t deadQubits)
 {
     const LiveBlocks1q lb(numQubits, qubit, deadQubits);
-    shardBlocks(pool, lb.count, [=](uint64_t b, uint64_t e) {
-        superopMat1Range(rho, b, e, s, lb);
+#ifdef EQC_KERNEL_X86_DISPATCH
+    if (cpuHasAvx2()) {
+        superopMat1Avx2(rho, s, lb);
+        return;
+    }
+#endif
+    // Dense 4x4 channel superoperator over sub-index j = k + 2b.
+    Complex m[16];
+    for (int i = 0; i < 16; ++i)
+        m[i] = s[i];
+    const uint64_t kBit = lb.kBit;
+    const uint64_t bBit = lb.bBit;
+    forLiveAnchorRuns(lb, [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i = start + r;
+            const uint64_t iK = i + kBit;
+            const uint64_t iB = i + bBit;
+            const uint64_t iKB = iK + bBit;
+            const Complex v0 = rho[i], v1 = rho[iK];
+            const Complex v2 = rho[iB], v3 = rho[iKB];
+            rho[i] = m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3;
+            rho[iK] = m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3;
+            rho[iB] = m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3;
+            rho[iKB] =
+                m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3;
+        }
     });
 }
 
 void
 applySuperopDiag1(Complex *rho, int numQubits, const Complex *d, int qubit,
-                  TaskPool *pool, uint64_t deadQubits)
+                  uint64_t deadQubits)
 {
     const LiveBlocks1q lb(numQubits, qubit, deadQubits);
     const Complex d0 = d[0], d1 = d[1];
-    shardBlocks(pool, lb.count, [=](uint64_t b, uint64_t e) {
-        superopDiag1Range(rho, b, e, d0, d1, lb);
+#ifdef EQC_KERNEL_X86_DISPATCH
+    if (cpuHasAvx2()) {
+        superopDiag1Avx2(rho, d0, d1, lb);
+        return;
+    }
+#endif
+    const Complex f00 = d0 * std::conj(d0);
+    const Complex f01 = d0 * std::conj(d1);
+    const Complex f10 = d1 * std::conj(d0);
+    const Complex f11 = d1 * std::conj(d1);
+    const uint64_t kBit = lb.kBit;
+    const uint64_t bBit = lb.bBit;
+    forLiveAnchorRuns(lb, [&](uint64_t start, uint64_t run) {
+        for (uint64_t r = 0; r < run; ++r) {
+            const uint64_t i = start + r;
+            rho[i] *= f00;
+            rho[i + bBit] *= f01;
+            rho[i + kBit] *= f10;
+            rho[i + kBit + bBit] *= f11;
+        }
     });
 }
 
 void
 applySuperop2(Complex *rho, int numQubits, const Complex *u, int q0,
-              int q1, TaskPool *pool)
+              int q1)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
-    const uint64_t mk0 = uint64_t{1} << q0;
-    const uint64_t mk1 = uint64_t{1} << q1;
-    const uint64_t mb0 = uint64_t{1} << (q0 + numQubits);
-    const uint64_t mb1 = uint64_t{1} << (q1 + numQubits);
-    shardBlocks(pool, dimSq >> 4, [=](uint64_t b, uint64_t e) {
-        superop2Range(rho, b, e, u, mk0, mk1, mb0, mb1);
-    });
+    superop2Blocks(rho, (uint64_t{1} << (2 * numQubits)) >> 4, u,
+                   uint64_t{1} << q0, uint64_t{1} << q1,
+                   uint64_t{1} << (q0 + numQubits),
+                   uint64_t{1} << (q1 + numQubits));
 }
 
 void
 applySuperopDiag2(Complex *rho, int numQubits, const Complex *d, int q0,
-                  int q1, TaskPool *pool)
+                  int q1)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
     const uint64_t mk0 = uint64_t{1} << q0;
     const uint64_t mk1 = uint64_t{1} << q1;
     const uint64_t mb0 = uint64_t{1} << (q0 + numQubits);
     const uint64_t mb1 = uint64_t{1} << (q1 + numQubits);
-    shardBlocks(pool, dimSq >> 4, [=](uint64_t b, uint64_t e) {
-        superopDiag2Range(rho, b, e, d, mk0, mk1, mb0, mb1);
+    uint64_t off[4][4];
+    Complex f[4][4];
+    for (int r = 0; r < 4; ++r) {
+        for (int s = 0; s < 4; ++s) {
+            off[r][s] = ((r & 1 ? mk0 : 0) | (r & 2 ? mk1 : 0)) +
+                        ((s & 1 ? mb0 : 0) | (s & 2 ? mb1 : 0));
+            f[r][s] = d[r] * std::conj(d[s]);
+        }
+    }
+    const uint64_t lows[4] = {
+        std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
+        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
+    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 4;
+    forAnchorRuns<4>(nBlocks, lows, [&](uint64_t start, uint64_t run) {
+        for (uint64_t x = 0; x < run; ++x) {
+            const uint64_t i = start + x;
+            for (int r = 0; r < 4; ++r)
+                for (int s = 0; s < 4; ++s)
+                    rho[i + off[r][s]] *= f[r][s];
+        }
     });
 }
 
 void
 applySuperopPerm1(Complex *rho, int numQubits, const PermPhase &pp,
-                  int qubit, TaskPool *pool)
+                  int qubit)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
-    const uint64_t kBit = uint64_t{1} << qubit;
-    const uint64_t bBit = uint64_t{1} << (qubit + numQubits);
+    // Perm is the swap: block entry (r, s) <- f[r][s] * entry (1-r, 1-s).
     const Complex p0 = pp.phase[0], p1 = pp.phase[1];
     const bool unit = pp.unitPhases;
-    shardBlocks(pool, dimSq >> 2, [=](uint64_t b, uint64_t e) {
-        superopPerm1Range(rho, b, e, p0, p1, unit, kBit, bBit);
+    const Complex f00 = p0 * std::conj(p0);
+    const Complex f01 = p0 * std::conj(p1);
+    const Complex f10 = p1 * std::conj(p0);
+    const Complex f11 = p1 * std::conj(p1);
+    const uint64_t kBit = uint64_t{1} << qubit;
+    const uint64_t bBit = uint64_t{1} << (qubit + numQubits);
+    const uint64_t lows[2] = {kBit - 1, bBit - 1};
+    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 2;
+    forAnchorRuns<2>(nBlocks, lows, [&](uint64_t start, uint64_t run) {
+        if (unit) {
+            for (uint64_t r = 0; r < run; ++r) {
+                const uint64_t i = start + r;
+                std::swap(rho[i], rho[i + kBit + bBit]);
+                std::swap(rho[i + kBit], rho[i + bBit]);
+            }
+        } else {
+            for (uint64_t r = 0; r < run; ++r) {
+                const uint64_t i = start + r;
+                const Complex b00 = rho[i], b01 = rho[i + bBit];
+                const Complex b10 = rho[i + kBit];
+                const Complex b11 = rho[i + kBit + bBit];
+                rho[i] = f00 * b11;
+                rho[i + bBit] = f01 * b10;
+                rho[i + kBit] = f10 * b01;
+                rho[i + kBit + bBit] = f11 * b00;
+            }
+        }
     });
 }
 
 void
 applySuperopPerm2(Complex *rho, int numQubits, const PermPhase &pp, int q0,
-                  int q1, TaskPool *pool)
+                  int q1)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
     const uint64_t mk0 = uint64_t{1} << q0;
     const uint64_t mk1 = uint64_t{1} << q1;
     const uint64_t mb0 = uint64_t{1} << (q0 + numQubits);
     const uint64_t mb1 = uint64_t{1} << (q1 + numQubits);
-    shardBlocks(pool, dimSq >> 4, [=](uint64_t b, uint64_t e) {
-        superopPerm2Range(rho, b, e, pp, mk0, mk1, mb0, mb1);
+    uint64_t ketOff[4], braOff[4];
+    for (int j = 0; j < 4; ++j) {
+        ketOff[j] = (j & 1 ? mk0 : 0) | (j & 2 ? mk1 : 0);
+        braOff[j] = (j & 1 ? mb0 : 0) | (j & 2 ? mb1 : 0);
+    }
+    // Destination offset and source offset per block slot, plus the
+    // phase factor phase[r] * conj(phase[s]).
+    uint64_t dst[16], src[16];
+    Complex f[16];
+    for (int r = 0; r < 4; ++r) {
+        for (int s = 0; s < 4; ++s) {
+            dst[r * 4 + s] = ketOff[r] + braOff[s];
+            src[r * 4 + s] = ketOff[pp.perm[r]] + braOff[pp.perm[s]];
+            f[r * 4 + s] = pp.phase[r] * std::conj(pp.phase[s]);
+        }
+    }
+    const uint64_t lows[4] = {
+        std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
+        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
+    const bool unit = pp.unitPhases;
+    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 4;
+    forAnchorRuns<4>(nBlocks, lows, [&](uint64_t start, uint64_t run) {
+        Complex g[16];
+        for (uint64_t x = 0; x < run; ++x) {
+            const uint64_t i = start + x;
+            for (int j = 0; j < 16; ++j)
+                g[j] = rho[i + src[j]];
+            if (unit) {
+                for (int j = 0; j < 16; ++j)
+                    rho[i + dst[j]] = g[j];
+            } else {
+                for (int j = 0; j < 16; ++j)
+                    rho[i + dst[j]] = f[j] * g[j];
+            }
+        }
     });
 }
 
 void
-applySuperopMat2(Complex *rho, int numQubits, const Complex *S, int q0,
-                 int q1, TaskPool *pool)
+applySuperopMat2(Complex *rho, int numQubits, const Complex *Sin, int q0,
+                 int q1)
 {
-    const uint64_t dimSq = uint64_t{1} << (2 * numQubits);
+    Complex S[256];
+    for (int j = 0; j < 256; ++j)
+        S[j] = Sin[j];
     const uint64_t mk0 = uint64_t{1} << q0;
     const uint64_t mk1 = uint64_t{1} << q1;
     const uint64_t mb0 = uint64_t{1} << (q0 + numQubits);
     const uint64_t mb1 = uint64_t{1} << (q1 + numQubits);
-    shardBlocks(pool, dimSq >> 4, [=](uint64_t b, uint64_t e) {
-        superopMat2Range(rho, b, e, S, mk0, mk1, mb0, mb1);
+    // Vector index v = ketSub + 4 * braSub: bit 0 -> mk0, bit 1 -> mk1,
+    // bit 2 -> mb0, bit 3 -> mb1.
+    uint64_t off[16];
+    for (int v = 0; v < 16; ++v)
+        off[v] = (v & 1 ? mk0 : 0) + (v & 2 ? mk1 : 0) +
+                 (v & 4 ? mb0 : 0) + (v & 8 ? mb1 : 0);
+    const uint64_t lows[4] = {
+        std::min(mk0, mk1) - 1, std::max(mk0, mk1) - 1,
+        std::min(mb0, mb1) - 1, std::max(mb0, mb1) - 1};
+    const uint64_t nBlocks = (uint64_t{1} << (2 * numQubits)) >> 4;
+    forAnchorRuns<4>(nBlocks, lows, [&](uint64_t start, uint64_t run) {
+        Complex g[16];
+        for (uint64_t x = 0; x < run; ++x) {
+            const uint64_t i = start + x;
+            for (int v = 0; v < 16; ++v)
+                g[v] = rho[i + off[v]];
+            for (int vp = 0; vp < 16; ++vp) {
+                const Complex *row = S + 16 * vp;
+                Complex acc(0, 0);
+                for (int v = 0; v < 16; ++v)
+                    acc += row[v] * g[v];
+                rho[i + off[vp]] = acc;
+            }
+        }
     });
 }
 

@@ -10,21 +10,22 @@
  *    the *reference* the randomized equivalence tests compare against.
  *  - the fast kernels (kernel.cc): block-enumeration over the dim >> k
  *    anchor indices via bit-deposit, hand-unrolled k=1/k=2 paths, a
- *    diagonal path for phase-type gates, fused superoperator/Kraus
- *    application for density matrices, and optional block-parallel
- *    sharding through a TaskPool. Blocks are disjoint, so results are
- *    bit-identical for every thread count.
+ *    diagonal path for phase-type gates, and fused superoperator/Kraus
+ *    application for density matrices.
+ *
+ * Every pass runs serially on the calling thread. Threads go to whole
+ * circuit jobs and batch segments instead (see the fan-out levels in
+ * docs/ARCHITECTURE.md): the circuits EQC trains give passes of at most
+ * a few thousand blocks.
  */
 
 #ifndef EQC_QUANTUM_KERNEL_H
 #define EQC_QUANTUM_KERNEL_H
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/task_pool.h"
 #include "quantum/cmatrix.h"
 
 namespace eqc {
@@ -97,34 +98,6 @@ applyOperatorKernel(CVector &amp, uint64_t dim, const CMatrix &u,
     }
 }
 
-/**
- * Minimum anchor-block count before an apply is sharded across the
- * pool; below this the fork/join overhead dominates the kernel body.
- */
-constexpr uint64_t kMinBlocksParallel = uint64_t{1} << 15;
-
-/**
- * Run @p rangeFn over block range [0, nBlocks): sharded through @p pool
- * when the range is large enough, inline otherwise. Blocks must write
- * disjoint memory, which also makes the result thread-count-invariant.
- *
- * @p rangeFn must be a small forwarding callable whose captures are BY
- * VALUE and whose body immediately calls a standalone worker function
- * with plain arguments. Keeping the hot loop out of the callable
- * matters: the callable's closure escapes into a std::function on the
- * pool path, and a hot loop compiled inside it loses alias analysis
- * (captured operands get reloaded from the closure every iteration).
- */
-template <typename RangeFn>
-inline void
-shardBlocks(TaskPool *pool, uint64_t nBlocks, const RangeFn &rangeFn)
-{
-    if (pool && pool->threadCount() > 1 && nBlocks >= kMinBlocksParallel)
-        pool->parallelFor(0, nBlocks, rangeFn);
-    else
-        rangeFn(0, nBlocks);
-}
-
 /** Insert a zero bit: @p lowMask covers the positions below it. */
 inline uint64_t
 depositZeroBit(uint64_t v, uint64_t lowMask)
@@ -133,30 +106,27 @@ depositZeroBit(uint64_t v, uint64_t lowMask)
 }
 
 /**
- * Enumerate the anchor indices of block range [b, e) as *contiguous
+ * Enumerate the anchor indices of blocks [0, nBlocks) as *contiguous
  * runs*: anchors share their low bits below the lowest target position,
  * so the bit-deposit over @p lowMasks (NMASK entries, ascending;
  * lowMasks[m] = (1 << position_m) - 1) is only needed at run starts and
  * the per-element inner loop stays unit-stride — which is what lets the
- * compiler vectorize the complex arithmetic. Serial: call from inside a
- * worker function (see shardBlocks) with a non-escaping @p process
- * lambda, invoked as process(anchorStart, runLength).
+ * compiler vectorize the complex arithmetic. @p process is invoked as
+ * process(anchorStart, runLength). Every run is full: @p nBlocks counts
+ * the anchors of the whole vector, a multiple of the run length
+ * lowMasks[0] + 1.
  */
 template <int NMASK, typename Process>
 inline void
-forAnchorRuns(uint64_t b, uint64_t e, const uint64_t *lowMasks,
+forAnchorRuns(uint64_t nBlocks, const uint64_t *lowMasks,
               const Process &process)
 {
     const uint64_t runCap = lowMasks[0] + 1;
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t lo = t & (runCap - 1);
-        uint64_t i = t - lo;
+    for (uint64_t t = 0; t < nBlocks; t += runCap) {
+        uint64_t i = t;
         for (int m = 0; m < NMASK; ++m)
             i = depositZeroBit(i, lowMasks[m]);
-        const uint64_t run = std::min(runCap - lo, e - t);
-        process(i + lo, run);
-        t += run;
+        process(i, runCap);
     }
 }
 
@@ -170,11 +140,12 @@ forAnchorRuns(uint64_t b, uint64_t e, const uint64_t *lowMasks,
  *
  * A live anchor is walked as its *free* bits x (every position except
  * the target's ket and bra bits and the dead qubits' bra bits): the
- * t-th live block has x = deposit(t), the next one next(x), and its
- * anchor index copies each dead qubit's ket bit into its bra bit. The
+ * first live block has x = 0, the next one next(x), and its anchor
+ * index copies each dead qubit's ket bit into its bra bit. The
  * bits below both the target and the lowest dead qubit stay contiguous,
  * so live anchors come in runs of runCap (1 when qubit 0 is dead or
- * the target).
+ * the target). Those bits are all free, so count is a multiple of
+ * runCap, and it is even whenever runCap is 1 and qubit 0 is dead.
  */
 struct LiveBlocks1q
 {
@@ -195,16 +166,6 @@ struct LiveBlocks1q
         runCap = low & (~low + 1);
         count = (uint64_t{1} << (2 * numQubits - 2)) >>
                 __builtin_popcountll(dead);
-    }
-
-    /** The free bits of live block @p t (t < count). */
-    uint64_t
-    deposit(uint64_t t) const
-    {
-        for (uint64_t f = kBit | bBit | (dead << braShift); f != 0;
-             f &= f - 1)
-            t = depositZeroBit(t, (f & (~f + 1)) - 1);
-        return t;
     }
 
     /** The free bits of the live block after @p x. */
@@ -229,22 +190,17 @@ struct LiveBlocks1q
 };
 
 /**
- * forAnchorRuns over the live blocks [b, e) of @p lb: @p process is
- * invoked as process(anchorStart, runLength) on contiguous runs.
+ * forAnchorRuns over the live blocks of @p lb: @p process is invoked
+ * as process(anchorStart, runLength) on contiguous runs.
  */
 template <typename Process>
 inline void
-forLiveAnchorRuns(const LiveBlocks1q &lb, uint64_t b, uint64_t e,
-                  const Process &process)
+forLiveAnchorRuns(const LiveBlocks1q &lb, const Process &process)
 {
-    const uint64_t runCap = lb.runCap;
-    uint64_t x = lb.deposit(b);
-    uint64_t t = b;
-    while (t < e) {
-        const uint64_t run = std::min(runCap - (t & (runCap - 1)), e - t);
-        process(lb.anchor(x), run);
-        t += run;
-        x = lb.next(x + run - 1);
+    uint64_t x = 0;
+    for (uint64_t t = 0; t < lb.count; t += lb.runCap) {
+        process(lb.anchor(x), lb.runCap);
+        x = lb.next(x + lb.runCap - 1);
     }
 }
 
@@ -261,9 +217,7 @@ struct KernelScratch
 };
 
 /// @name Amplitude-bank fast paths (state vector, or one bank of rho)
-/// All enumerate the dim >> k anchor indices directly via bit-deposit;
-/// @p pool (nullable) shards anchor ranges across threads when the
-/// block count is large enough.
+/// All enumerate the dim >> k anchor indices directly via bit-deposit.
 /// @{
 
 /**
@@ -303,31 +257,27 @@ GateKind classifyGate(const Complex *u, int sub, Complex *diag,
                       PermPhase &pp);
 
 /** 1q general gate; @p u is row-major {u00, u01, u10, u11}. */
-void applyGate1(Complex *amp, uint64_t dim, const Complex *u, int qubit,
-                TaskPool *pool);
+void applyGate1(Complex *amp, uint64_t dim, const Complex *u, int qubit);
 
 /** 1q diagonal gate diag(d0, d1): a pure elementwise multiply. */
-void applyDiag1(Complex *amp, uint64_t dim, Complex d0, Complex d1,
-                int qubit, TaskPool *pool);
+void applyDiag1(Complex *amp, uint64_t dim, Complex d0, Complex d1, int qubit);
 
 /**
  * 2q general gate; @p u is row-major 4x4, sub-index bit 0 corresponds
  * to @p q0 and bit 1 to @p q1 (the gateMatrix convention).
  */
-void applyGate2(Complex *amp, uint64_t dim, const Complex *u, int q0,
-                int q1, TaskPool *pool);
+void applyGate2(Complex *amp, uint64_t dim, const Complex *u, int q0, int q1);
 
 /** 2q diagonal gate diag(d[0..3]) over the same sub-index convention. */
-void applyDiag2(Complex *amp, uint64_t dim, const Complex *d, int q0,
-                int q1, TaskPool *pool);
+void applyDiag2(Complex *amp, uint64_t dim, const Complex *d, int q0, int q1);
 
 /** 1q permutation-phase gate (X-like: perm must be {1, 0}). */
 void applyPermPhase1(Complex *amp, uint64_t dim, const PermPhase &pp,
-                     int qubit, TaskPool *pool);
+                     int qubit);
 
 /** 2q permutation-phase gate (CX/SWAP and friends). */
 void applyPermPhase2(Complex *amp, uint64_t dim, const PermPhase &pp,
-                     int q0, int q1, TaskPool *pool);
+                     int q0, int q1);
 
 /**
  * General k-qubit operator via block enumeration with caller-provided
@@ -346,8 +296,7 @@ void applyGateK(Complex *amp, uint64_t dim, const CMatrix &u,
 /// @{
 
 /** 1q unitary: U (x) conj(U) on each 4-element block. */
-void applySuperop1(Complex *rho, int numQubits, const Complex *u,
-                   int qubit, TaskPool *pool);
+void applySuperop1(Complex *rho, int numQubits, const Complex *u, int qubit);
 
 /**
  * 1q diagonal unitary diag(d[0..1]): elementwise phase factors. With
@@ -355,16 +304,15 @@ void applySuperop1(Complex *rho, int numQubits, const Complex *u,
  * the others are left as they were.
  */
 void applySuperopDiag1(Complex *rho, int numQubits, const Complex *d,
-                       int qubit, TaskPool *pool,
-                       uint64_t deadQubits = 0);
+                       int qubit, uint64_t deadQubits = 0);
 
 /** 2q unitary on each 16-element block. */
 void applySuperop2(Complex *rho, int numQubits, const Complex *u, int q0,
-                   int q1, TaskPool *pool);
+                   int q1);
 
 /** 2q diagonal unitary diag(d[0..3]). */
 void applySuperopDiag2(Complex *rho, int numQubits, const Complex *d,
-                       int q0, int q1, TaskPool *pool);
+                       int q0, int q1);
 
 /**
  * 1q permutation-phase unitary: each block entry (r, s) moves to
@@ -372,11 +320,11 @@ void applySuperopDiag2(Complex *rho, int numQubits, const Complex *d,
  * arithmetic, and a pure index shuffle for unit phases (X).
  */
 void applySuperopPerm1(Complex *rho, int numQubits, const PermPhase &pp,
-                       int qubit, TaskPool *pool);
+                       int qubit);
 
 /** 2q permutation-phase unitary (CX/SWAP: a pure 16-element shuffle). */
 void applySuperopPerm2(Complex *rho, int numQubits, const PermPhase &pp,
-                       int q0, int q1, TaskPool *pool);
+                       int q0, int q1);
 
 /**
  * Apply a precomputed 4x4 channel superoperator to every 4-element
@@ -387,7 +335,7 @@ void applySuperopPerm2(Complex *rho, int numQubits, const PermPhase &pp,
  * applySuperopDiag1.
  */
 void applySuperopMat1(Complex *rho, int numQubits, const Complex *s,
-                      int qubit, TaskPool *pool, uint64_t deadQubits = 0);
+                      int qubit, uint64_t deadQubits = 0);
 
 /**
  * Apply a precomputed 16x16 channel superoperator to every 16-element
@@ -400,7 +348,7 @@ void applySuperopMat1(Complex *rho, int numQubits, const Complex *s,
  * and bra bit positions directly.)
  */
 void applySuperopMat2(Complex *rho, int numQubits, const Complex *S,
-                      int q0, int q1, TaskPool *pool);
+                      int q0, int q1);
 
 /// @}
 

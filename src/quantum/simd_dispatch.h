@@ -21,7 +21,7 @@
  * Note for kernel authors: lambdas do NOT inherit the enclosing
  * function's target attribute, so AVX2 loop bodies must be written in
  * plain (attributed) functions — intrinsics inside a lambda passed to
- * forAnchorRuns() fail to compile. See superopMat1RangeAvx2 in
+ * forAnchorRuns() fail to compile. See superopMat1Avx2 in
  * kernel.cc for the canonical shape.
  */
 

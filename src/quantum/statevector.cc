@@ -3,21 +3,10 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/task_pool.h"
 #include "quantum/kernel.h"
 #include "quantum/pauli.h"
 
 namespace eqc {
-
-TaskPool *
-Statevector::pool() const
-{
-    // Resolved once per instance: TaskPool::shared()'s thread-safe
-    // static guard is measurable on the small-n fast paths.
-    if (!pool_)
-        pool_ = &TaskPool::shared();
-    return pool_;
-}
 
 Statevector::Statevector(int numQubits)
     : numQubits_(numQubits), amp_(uint64_t{1} << numQubits, Complex(0, 0))
@@ -43,13 +32,13 @@ Statevector::applyGate1(const Complex *u, int qubit)
     detail::PermPhase pp;
     switch (detail::classifyGate(u, 2, d, pp)) {
       case detail::GateKind::Diagonal:
-        detail::applyDiag1(amp_.data(), dim(), d[0], d[1], qubit, pool());
+        detail::applyDiag1(amp_.data(), dim(), d[0], d[1], qubit);
         break;
       case detail::GateKind::PermPhase:
-        detail::applyPermPhase1(amp_.data(), dim(), pp, qubit, pool());
+        detail::applyPermPhase1(amp_.data(), dim(), pp, qubit);
         break;
       case detail::GateKind::General:
-        detail::applyGate1(amp_.data(), dim(), u, qubit, pool());
+        detail::applyGate1(amp_.data(), dim(), u, qubit);
         break;
     }
 }
@@ -59,7 +48,7 @@ Statevector::applyDiag1(const Complex *d, int qubit)
 {
     if (qubit < 0 || qubit >= numQubits_)
         panic("Statevector::applyDiag1: qubit index out of range");
-    detail::applyDiag1(amp_.data(), dim(), d[0], d[1], qubit, pool());
+    detail::applyDiag1(amp_.data(), dim(), d[0], d[1], qubit);
 }
 
 void
@@ -73,13 +62,13 @@ Statevector::applyGate2(const Complex *u, int q0, int q1)
     detail::PermPhase pp;
     switch (detail::classifyGate(u, 4, d, pp)) {
       case detail::GateKind::Diagonal:
-        detail::applyDiag2(amp_.data(), dim(), d, q0, q1, pool());
+        detail::applyDiag2(amp_.data(), dim(), d, q0, q1);
         break;
       case detail::GateKind::PermPhase:
-        detail::applyPermPhase2(amp_.data(), dim(), pp, q0, q1, pool());
+        detail::applyPermPhase2(amp_.data(), dim(), pp, q0, q1);
         break;
       case detail::GateKind::General:
-        detail::applyGate2(amp_.data(), dim(), u, q0, q1, pool());
+        detail::applyGate2(amp_.data(), dim(), u, q0, q1);
         break;
     }
 }
@@ -91,7 +80,7 @@ Statevector::applyDiag2(const Complex *d, int q0, int q1)
         q0 == q1) {
         panic("Statevector::applyDiag2: invalid qubits");
     }
-    detail::applyDiag2(amp_.data(), dim(), d, q0, q1, pool());
+    detail::applyDiag2(amp_.data(), dim(), d, q0, q1);
 }
 
 void

@@ -19,7 +19,6 @@
 namespace eqc {
 
 class PauliString;
-class TaskPool;
 
 /** Pure-state simulator over n qubits. */
 class Statevector
@@ -92,18 +91,9 @@ class Statevector
      */
     std::vector<uint64_t> sample(uint64_t shots, Rng &rng) const;
 
-    /**
-     * Pool used for block-parallel apply (null: the shared pool).
-     * Results are bit-identical for every pool size.
-     */
-    void setTaskPool(TaskPool *pool) { pool_ = pool; }
-
   private:
-    TaskPool *pool() const;
-
     int numQubits_;
     CVector amp_;
-    mutable TaskPool *pool_ = nullptr;
 };
 
 } // namespace eqc

@@ -1,9 +1,10 @@
 /**
  * @file
  * Randomized equivalence tests for the fast simulation kernels against
- * the reference implementation (detail::applyOperatorKernel), plus
- * bit-determinism of block-parallel apply across task-pool sizes and
- * of every AVX2 kernel against its scalar twin.
+ * the reference implementation (detail::applyOperatorKernel), the
+ * bit-identity of every AVX2 kernel with its scalar twin and of
+ * liveness-masked passes with full ones, and the TaskPool's job
+ * fan-out (the kernels themselves run serially).
  */
 
 #include <gtest/gtest.h>
@@ -109,7 +110,7 @@ TEST(Kernel, Gate1MatchesReference)
         CVector ref = randomState(dim, 99 + q);
         CVector fast = ref;
         detail::applyOperatorKernel(ref, dim, u, {q});
-        detail::applyGate1(fast.data(), dim, flat(u).data(), q, nullptr);
+        detail::applyGate1(fast.data(), dim, flat(u).data(), q);
         expectClose(ref, fast);
     }
 }
@@ -126,8 +127,7 @@ TEST(Kernel, Diag1MatchesReference)
         CVector ref = randomState(dim, 7 + q);
         CVector fast = ref;
         detail::applyOperatorKernel(ref, dim, u, {q});
-        detail::applyDiag1(fast.data(), dim, u(0, 0), u(1, 1), q,
-                           nullptr);
+        detail::applyDiag1(fast.data(), dim, u(0, 0), u(1, 1), q);
         expectClose(ref, fast);
     }
 }
@@ -149,7 +149,7 @@ TEST(Kernel, PermPhase1MatchesReference)
         CVector ref = randomState(dim, 55 + q);
         CVector fast = ref;
         detail::applyOperatorKernel(ref, dim, u, {q});
-        detail::applyPermPhase1(fast.data(), dim, pp, q, nullptr);
+        detail::applyPermPhase1(fast.data(), dim, pp, q);
         expectClose(ref, fast);
     }
 }
@@ -164,8 +164,7 @@ TEST(Kernel, Gate2MatchesReferenceBothQubitOrders)
         CVector ref = randomState(dim, 3 * a + b);
         CVector fast = ref;
         detail::applyOperatorKernel(ref, dim, u, {a, b});
-        detail::applyGate2(fast.data(), dim, flat(u).data(), a, b,
-                           nullptr);
+        detail::applyGate2(fast.data(), dim, flat(u).data(), a, b);
         expectClose(ref, fast);
     }
 }
@@ -184,7 +183,7 @@ TEST(Kernel, Diag2MatchesReference)
         CVector ref = randomState(dim, 9 * a + b);
         CVector fast = ref;
         detail::applyOperatorKernel(ref, dim, u, {a, b});
-        detail::applyDiag2(fast.data(), dim, d, a, b, nullptr);
+        detail::applyDiag2(fast.data(), dim, d, a, b);
         expectClose(ref, fast);
     }
 }
@@ -226,7 +225,7 @@ TEST(Kernel, PermPhase2MatchesReferenceForCxAndSwap)
             CVector ref = randomState(dim, 77 + a + 5 * b);
             CVector fast = ref;
             detail::applyOperatorKernel(ref, dim, u, {a, b});
-            detail::applyPermPhase2(fast.data(), dim, pp, a, b, nullptr);
+            detail::applyPermPhase2(fast.data(), dim, pp, a, b);
             expectClose(ref, fast);
         }
     }
@@ -261,7 +260,7 @@ TEST(Kernel, FusedSuperop1MatchesTwoPassReference)
         CVector ref = randomState(full, 13 + q);
         CVector fast = ref;
         superopReference(ref, n, u, {q});
-        detail::applySuperop1(fast.data(), n, flat(u).data(), q, nullptr);
+        detail::applySuperop1(fast.data(), n, flat(u).data(), q);
         expectClose(ref, fast);
     }
 }
@@ -275,8 +274,7 @@ TEST(Kernel, FusedSuperop2MatchesTwoPassReference)
         CVector ref = randomState(full, 19 + a + 7 * b);
         CVector fast = ref;
         superopReference(ref, n, u, {a, b});
-        detail::applySuperop2(fast.data(), n, flat(u).data(), a, b,
-                              nullptr);
+        detail::applySuperop2(fast.data(), n, flat(u).data(), a, b);
         expectClose(ref, fast);
     }
 }
@@ -291,27 +289,27 @@ TEST(Kernel, FusedSuperopDiagAndPermMatchReference)
     CVector fast = ref;
     superopReference(ref, n, rz, {2});
     const Complex d[2] = {rz(0, 0), rz(1, 1)};
-    detail::applySuperopDiag1(fast.data(), n, d, 2, nullptr);
+    detail::applySuperopDiag1(fast.data(), n, d, 2);
     expectClose(ref, fast);
 
     CMatrix x = gateMatrix(GateType::X);
     detail::PermPhase pp;
     ASSERT_TRUE(detail::isPermPhase(flat(x).data(), 2, pp));
     superopReference(ref, n, x, {1});
-    detail::applySuperopPerm1(fast.data(), n, pp, 1, nullptr);
+    detail::applySuperopPerm1(fast.data(), n, pp, 1);
     expectClose(ref, fast);
 
     CMatrix cx = gateMatrix(GateType::CX);
     detail::PermPhase pp2;
     ASSERT_TRUE(detail::isPermPhase(flat(cx).data(), 4, pp2));
     superopReference(ref, n, cx, {3, 0});
-    detail::applySuperopPerm2(fast.data(), n, pp2, 3, 0, nullptr);
+    detail::applySuperopPerm2(fast.data(), n, pp2, 3, 0);
     expectClose(ref, fast);
 
     CMatrix rzz = gateMatrix(GateType::RZZ, {1.21});
     const Complex d4[4] = {rzz(0, 0), rzz(1, 1), rzz(2, 2), rzz(3, 3)};
     superopReference(ref, n, rzz, {1, 2});
-    detail::applySuperopDiag2(fast.data(), n, d4, 1, 2, nullptr);
+    detail::applySuperopDiag2(fast.data(), n, d4, 1, 2);
     expectClose(ref, fast);
 }
 
@@ -328,7 +326,7 @@ TEST(Kernel, ChannelSuperopMatrixMatchesReference)
         CVector ref = channelReference(state, n, ch, {1});
         CVector fast = state;
         detail::applyGate2(fast.data(), full, ch.superopMatrix().data(),
-                           1, 1 + n, nullptr);
+                           1, 1 + n);
         expectClose(ref, fast);
     }
 
@@ -338,8 +336,7 @@ TEST(Kernel, ChannelSuperopMatrixMatchesReference)
         CVector ref = channelReference(state, n, dep2, {a, b});
         CVector fast = state;
         detail::applySuperopMat2(fast.data(), n,
-                                 dep2.superopMatrix().data(), a, b,
-                                 nullptr);
+                                 dep2.superopMatrix().data(), a, b);
         expectClose(ref, fast);
     }
 }
@@ -368,40 +365,6 @@ TEST(Kernel, GateEntriesMatchesGateMatrixForAllGates)
                     EXPECT_EQ(entries[r * sub + c], m(r, c))
                         << gateName(t);
         }
-    }
-}
-
-TEST(Kernel, BlockParallelApplyIsBitIdenticalAcrossPoolSizes)
-{
-    // n = 9 density-matrix bank: 4^9 / 4 = 65536 blocks, comfortably
-    // above the parallel threshold, so pools with >1 thread really
-    // shard. Disjoint blocks must make results bit-identical.
-    const int n = 9;
-    const uint64_t full = uint64_t{1} << (2 * n);
-    const CVector init = randomState(full, 307);
-    CMatrix u1 = randomMatrix(2, 311);
-    CMatrix u2 = randomMatrix(4, 313);
-    KrausChannel dep2 = depolarizing2q(0.03);
-
-    CVector results[3];
-    int poolSizes[3] = {1, 2, 4};
-    for (int p = 0; p < 3; ++p) {
-        TaskPool pool(poolSizes[p]);
-        CVector v = init;
-        detail::applySuperop1(v.data(), n, flat(u1).data(), 3, &pool);
-        detail::applySuperop2(v.data(), n, flat(u2).data(), 1, 6, &pool);
-        detail::applySuperopMat2(v.data(), n,
-                                 dep2.superopMatrix().data(), 2, 7,
-                                 &pool);
-        detail::applyDiag1(v.data(), full, Complex(0.3, 0.4),
-                           Complex(0.9, -0.1), 5, &pool);
-        results[p] = std::move(v);
-    }
-    for (int p = 1; p < 3; ++p) {
-        bool identical = results[0].size() == results[p].size();
-        for (std::size_t i = 0; identical && i < results[0].size(); ++i)
-            identical = results[0][i] == results[p][i];
-        EXPECT_TRUE(identical) << "pool size " << poolSizes[p];
     }
 }
 
@@ -438,16 +401,14 @@ TEST(Kernel, SimdSuperopsBitIdenticalToScalar)
     const std::vector<Complex> dense = flat(randomMatrix(4, 419));
     for (int q = 0; q < n; ++q) {
         expectSimdMatchesScalar(full, 433 + q, [&](CVector &v) {
-            detail::applySuperopDiag1(v.data(), n, d2, q, nullptr);
+            detail::applySuperopDiag1(v.data(), n, d2, q);
         });
         expectSimdMatchesScalar(full, 439 + q, [&](CVector &v) {
             detail::applySuperopMat1(v.data(), n,
-                                     ch.superopMatrix().data(), q,
-                                     nullptr);
+                                     ch.superopMatrix().data(), q);
         });
         expectSimdMatchesScalar(full, 443 + q, [&](CVector &v) {
-            detail::applySuperopMat1(v.data(), n, dense.data(), q,
-                                     nullptr);
+            detail::applySuperopMat1(v.data(), n, dense.data(), q);
         });
     }
 }
@@ -477,21 +438,19 @@ maskedMismatches(const CVector &got, const CVector &full,
  */
 void
 expectMaskedPassesMatchFull(
-    int n, TaskPool *pool,
-    const std::function<std::vector<uint64_t>(int)> &masks)
+    int n, const std::function<std::vector<uint64_t>(int)> &masks)
 {
     const CVector input = randomState(uint64_t{1} << (2 * n), 461 + n);
     const std::vector<Complex> s = flat(randomMatrix(4, 463 + n));
     const Complex d[2] = {Complex(0.7, -0.4), Complex(-0.3, 1.1)};
     for (int q = 0; q < n; ++q) {
         CVector fullMat = input, fullDiag = input;
-        detail::applySuperopMat1(fullMat.data(), n, s.data(), q, pool);
-        detail::applySuperopDiag1(fullDiag.data(), n, d, q, pool);
+        detail::applySuperopMat1(fullMat.data(), n, s.data(), q);
+        detail::applySuperopDiag1(fullDiag.data(), n, d, q);
         for (uint64_t dead : masks(q)) {
             CVector mat = input, diag = input;
-            detail::applySuperopMat1(mat.data(), n, s.data(), q, pool,
-                                     dead);
-            detail::applySuperopDiag1(diag.data(), n, d, q, pool, dead);
+            detail::applySuperopMat1(mat.data(), n, s.data(), q, dead);
+            detail::applySuperopDiag1(diag.data(), n, d, q, dead);
             EXPECT_EQ(maskedMismatches(mat, fullMat, input, n, dead), 0u)
                 << "superopMat1 n " << n << " qubit " << q << " dead "
                 << dead;
@@ -505,15 +464,14 @@ expectMaskedPassesMatchFull(
 // A pass told which qubits are finished computes only the blocks that
 // can still be read, with the full pass's bits, on every kernel
 // variant: all masks up to 6 qubits (a dead qubit 0 breaks the anchor
-// runs; a target of 0 takes the packed AVX2 path), then 9 qubits
-// sharded over three threads, so block ranges start mid-run.
+// runs; a target of 0 takes the packed AVX2 path), then 9 qubits with
+// no, every, all-but-the-target and each single dead qubit.
 TEST(Kernel, MaskedSuperopsMatchFullPassOnLiveEntries)
 {
-    TaskPool three(3);
     for (bool scalar : {false, true}) {
         detail::simdDispatchForcedOff() = scalar;
         for (int n = 1; n <= 6; ++n) {
-            expectMaskedPassesMatchFull(n, nullptr, [n](int q) {
+            expectMaskedPassesMatchFull(n, [n](int q) {
                 std::vector<uint64_t> out;
                 for (uint64_t dead = 0; dead >> n == 0; ++dead)
                     if ((dead >> q & 1) == 0)
@@ -521,7 +479,7 @@ TEST(Kernel, MaskedSuperopsMatchFullPassOnLiveEntries)
                 return out;
             });
         }
-        expectMaskedPassesMatchFull(9, &three, [](int q) {
+        expectMaskedPassesMatchFull(9, [](int q) {
             std::vector<uint64_t> out = {0, 0x1FFu & ~(1u << q)};
             for (int d = 0; d < 9; ++d)
                 if (d != q)
@@ -712,41 +670,21 @@ TEST(Kernel, SimdExecuteBitIdenticalToScalar)
     }
 }
 
-TEST(TaskPool, ParallelForCoversRangeExactlyOnce)
-{
-    TaskPool pool(4);
-    const uint64_t count = 100001;
-    std::vector<int> hits(count, 0);
-    pool.parallelFor(0, count, [&](uint64_t b, uint64_t e) {
-        for (uint64_t i = b; i < e; ++i)
-            ++hits[i];
-    });
-    bool allOnce = true;
-    for (uint64_t i = 0; i < count; ++i)
-        allOnce = allOnce && hits[i] == 1;
-    EXPECT_TRUE(allOnce);
-
-    // Empty and tiny ranges run inline without deadlock.
-    pool.parallelFor(5, 5, [&](uint64_t, uint64_t) {
-        EXPECT_TRUE(false) << "empty range must not invoke the body";
-    });
-    int tiny = 0;
-    pool.parallelFor(0, 2, [&](uint64_t b, uint64_t e) {
-        tiny += static_cast<int>(e - b);
-    });
-    EXPECT_EQ(tiny, 2);
-}
-
 TEST(TaskPool, ParallelJobsFansOutSmallCounts)
 {
-    // Unlike parallelFor, parallelJobs parallelizes even when the job
-    // count is below the participant count — and still covers every
-    // index exactly once, including count == 0 and count == 1.
+    // parallelJobs fans out even when the job count is below the
+    // participant count, and covers every index exactly once, from no
+    // jobs (the body must never run) through one job to a count far
+    // above the participant count. No chunk handed to the body is
+    // empty: surplus participants skip theirs.
     TaskPool pool(4);
     for (uint64_t count : {uint64_t{0}, uint64_t{1}, uint64_t{3},
-                           uint64_t{17}}) {
+                           uint64_t{17}, uint64_t{100001}}) {
         std::vector<int> hits(count, 0);
+        std::atomic<int> emptyChunks{0};
         pool.parallelJobs(count, [&](uint64_t b, uint64_t e) {
+            if (b >= e)
+                ++emptyChunks;
             for (uint64_t i = b; i < e; ++i)
                 ++hits[i];
         });
@@ -754,13 +692,14 @@ TEST(TaskPool, ParallelJobsFansOutSmallCounts)
         for (uint64_t i = 0; i < count; ++i)
             allOnce = allOnce && hits[i] == 1;
         EXPECT_TRUE(allOnce) << "count " << count;
+        EXPECT_EQ(emptyChunks.load(), 0) << "count " << count;
     }
 }
 
 TEST(TaskPool, ConcurrentSubmittersEachCoverTheirRange)
 {
     // Two threads submit to one pool at once: whichever loses the
-    // submit gate runs its whole range inline, so both ranges must
+    // submit gate runs all of its jobs inline, so both ranges must
     // still be covered exactly once, round after round.
     TaskPool pool(3);
     const int rounds = 300;
@@ -772,7 +711,7 @@ TEST(TaskPool, ConcurrentSubmittersEachCoverTheirRange)
         std::vector<int> hits(count);
         for (int r = 0; r < rounds; ++r) {
             std::fill(hits.begin(), hits.end(), 0);
-            pool.parallelFor(0, count, [&](uint64_t b, uint64_t e) {
+            pool.parallelJobs(count, [&](uint64_t b, uint64_t e) {
                 for (uint64_t i = b; i < e; ++i)
                     ++hits[i];
             });
@@ -790,15 +729,15 @@ TEST(TaskPool, ConcurrentSubmittersEachCoverTheirRange)
     EXPECT_EQ(badB, 0);
 }
 
-TEST(TaskPool, NestedParallelForFallsBackInline)
+TEST(TaskPool, NestedParallelJobsFallsBackInline)
 {
     TaskPool pool(2);
     std::vector<int> hits(5000, 0);
-    pool.parallelFor(0, 5000, [&](uint64_t b, uint64_t e) {
+    pool.parallelJobs(5000, [&](uint64_t b, uint64_t e) {
         // A nested call from inside a chunk body must not deadlock; it
-        // degrades to inline execution on this thread's sub-range.
-        pool.parallelFor(b, e, [&](uint64_t b2, uint64_t e2) {
-            for (uint64_t i = b2; i < e2; ++i)
+        // degrades to inline execution of this chunk's jobs.
+        pool.parallelJobs(e - b, [&](uint64_t b2, uint64_t e2) {
+            for (uint64_t i = b + b2; i < b + e2; ++i)
                 ++hits[i];
         });
     });
