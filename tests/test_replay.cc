@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -543,6 +545,119 @@ TEST(ChaosEngine, SteadyClockSchedulesHoldTimingInvariants)
                           rep.violations.front().detail);
         EXPECT_EQ(engine.journal().config.clock, "steady");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned journal bytes: the schedule's draw order is part of the contract
+// ---------------------------------------------------------------------------
+
+/** FNV-1a 64 over the exact bytes of @p text. */
+uint64_t
+fnv1a64(const std::string &text)
+{
+    uint64_t h = 0xCBF29CE484222325ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001B3ULL;
+    }
+    return h;
+}
+
+enum class PinnedMode
+{
+    Single,
+    Streaming,
+    Routed,
+    RoutedFlood,
+};
+
+ChaosOptions
+pinnedOptions(PinnedMode mode, uint64_t seed)
+{
+    ChaosOptions co;
+    co.seed = seed;
+    switch (mode) {
+    case PinnedMode::Single:
+        break;
+    case PinnedMode::Streaming:
+        co.rounds = 4;
+        co.deadlineProb = 0.5;
+        co.churnProb = 0.5;
+        break;
+    case PinnedMode::RoutedFlood:
+        co.floodProb = 1.0;
+        // fall through
+    case PinnedMode::Routed:
+        co.nodes = 3;
+        co.members = 2;
+        co.deadlineProb = 0.25;
+        break;
+    }
+    return co;
+}
+
+TEST(ChaosEngine, JournalBytesArePinned)
+{
+    // Digests of journal().serialize() recorded before the single-node
+    // and routed schedules shared one body. Any reordered, added or
+    // dropped draw changes the journal text and so its digest.
+    struct Pin
+    {
+        PinnedMode mode;
+        uint64_t seed;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {PinnedMode::Single, 1, 0xC073AA1945A127B4ULL},
+        {PinnedMode::Single, 2, 0x21980141A1D0DE95ULL},
+        {PinnedMode::Single, 42, 0x58AB0D7EBCBCDDA9ULL},
+        {PinnedMode::Streaming, 5, 0xEA54688BDB81B41BULL},
+        {PinnedMode::Streaming, 6, 0xDE9AA3F8E5EF2F3EULL},
+        {PinnedMode::Streaming, 7, 0x2C165B9C25B394E9ULL},
+        {PinnedMode::Routed, 11, 0x2B2A73F55CD6341EULL},
+        {PinnedMode::Routed, 12, 0x4662F5DA2DE30E3CULL},
+        {PinnedMode::Routed, 13, 0x50BF60CD0E6665C0ULL},
+        {PinnedMode::RoutedFlood, 77, 0xEC27F4DF9B101F43ULL},
+    };
+    TaskPool pool(1);
+    for (const Pin &p : pins) {
+        ChaosEngine engine(pinnedOptions(p.mode, p.seed));
+        ChaosReport rep = engine.run(&pool);
+        EXPECT_TRUE(rep.passed()) << "seed " << p.seed;
+        if (p.mode == PinnedMode::RoutedFlood) {
+            EXPECT_GT(rep.forwards, 0) << "seed " << p.seed;
+        }
+        const uint64_t got = fnv1a64(engine.journal().serialize());
+        EXPECT_EQ(got, p.digest)
+            << "mode " << static_cast<int>(p.mode) << " seed " << p.seed
+            << ": journal digest 0x" << std::hex << got;
+    }
+}
+
+TEST(Replayer, CommittedRoutedJournalReplaysBitIdentical)
+{
+    // A journal captured by an older build and committed as a fixture:
+    // the current code must re-derive every routed verdict and
+    // finalize it records.
+    std::ifstream in(std::string(EQC_TEST_DATA_DIR) +
+                         "/mini_journal.jsonl",
+                     std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    ASSERT_FALSE(buf.str().empty())
+        << "tests/data/mini_journal.jsonl missing";
+    std::string err;
+    EventJournal parsed = EventJournal::parse(buf.str(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(parsed.config.nodes, 3);
+    EXPECT_EQ(parsed.size(), 335u);
+
+    Replayer replayer(std::move(parsed));
+    TaskPool pool(1);
+    ReplayResult res = replayer.run(&pool);
+    EXPECT_EQ(res.jobsCompared, 20u);
+    EXPECT_TRUE(res.identical())
+        << (res.mismatches.empty() ? "" : res.mismatches.front());
 }
 
 // ---------------------------------------------------------------------------
