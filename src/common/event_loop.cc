@@ -93,8 +93,6 @@ void
 EventLoop::run()
 {
     while (!liveIds_.empty()) {
-        if (stopRequested_.exchange(false))
-            return;
         purgeCancelledTop();
         fireTop();
     }
@@ -106,8 +104,6 @@ EventLoop::runUntil(double limitH)
 {
     purgeCancelledTop();
     while (!liveIds_.empty() && queue_.top().time <= limitH) {
-        if (stopRequested_.exchange(false))
-            return;
         fireTop();
         purgeCancelledTop();
     }

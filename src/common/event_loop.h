@@ -25,7 +25,6 @@
 #ifndef EQC_COMMON_EVENT_LOOP_H
 #define EQC_COMMON_EVENT_LOOP_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -151,7 +150,7 @@ class EventLoop
      */
     bool cancel(uint64_t id);
 
-    /** Run until the event queue drains (or requestStop() is seen). */
+    /** Run until the event queue drains. */
     void run();
 
     /**
@@ -160,14 +159,6 @@ class EventLoop
      * advanced to @p limitH when the queue drains early.
      */
     void runUntil(double limitH);
-
-    /**
-     * Ask the running loop to return before firing its next event.
-     * Safe to call from an event handler or another thread; the flag
-     * is consumed by the next run()/runUntil() iteration, so a stop
-     * requested while idle applies to the next run call.
-     */
-    void requestStop() { stopRequested_.store(true); }
 
     /** Number of events executed so far. */
     uint64_t processed() const { return processed_; }
@@ -220,7 +211,6 @@ class EventLoop
     std::priority_queue<Event, std::vector<Event>, Later> queue_;
     std::unordered_set<uint64_t> liveIds_;
     std::unordered_set<uint64_t> cancelled_;
-    std::atomic<bool> stopRequested_{false};
 };
 
 } // namespace eqc

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -732,46 +733,63 @@ pairBinding(const VqaProblem &prob, int pair, int roundKey)
 ChaosReport
 ChaosEngine::run(TaskPool *pool)
 {
-    if (opts_.nodes > 1)
-        return runRouted(pool);
     const ChaosOptions &o = opts_;
+    // One node is driven directly; a fleet of N > 1 sits behind a
+    // Router. Churn and the wall clock are single-node only.
+    const int N = std::max(1, o.nodes);
+    const bool routed = N > 1;
+    const bool steady = !routed && o.steadyClock;
     journal_ = EventJournal();
     ChaosReport rep;
     rep.seed = o.seed;
 
-    Rng rng = Rng(o.seed).fork("chaos");
+    Rng rng = Rng(o.seed).fork(routed ? "chaos-routed" : "chaos");
 
-    // Draw a distinct random lineup from the evaluation catalog and
-    // dial some members' drift incidents up (the spike travels into
-    // the journal config so replays rebuild the same timelines).
+    // Draw each node's lineup from the evaluation catalog and dial some
+    // members' drift incidents up (the spike travels into the journal
+    // config so replays rebuild the same timelines). A single node
+    // draws distinct members and keeps the rest as its join pool;
+    // fleet nodes draw with replacement (they are separate simulators,
+    // so two may front the same catalog device).
     std::vector<Device> catalog = evaluationEnsemble();
     const int members =
         std::max(1, std::min<int>(o.members,
                                   static_cast<int>(catalog.size())));
+    const int lastIdx = static_cast<int>(catalog.size()) - 1;
     std::vector<int> idx(catalog.size());
     std::iota(idx.begin(), idx.end(), 0);
-    std::vector<Device> devices;
+    std::vector<std::vector<Device>> lineups(static_cast<std::size_t>(N));
     std::vector<DeviceSpec> specs;
-    for (int i = 0; i < members; ++i) {
-        const int j =
-            rng.uniformInt(i, static_cast<int>(idx.size()) - 1);
-        std::swap(idx[static_cast<std::size_t>(i)],
-                  idx[static_cast<std::size_t>(j)]);
-        Device dev = catalog[static_cast<std::size_t>(
-            idx[static_cast<std::size_t>(i)])];
-        DeviceSpec spec;
-        spec.name = dev.name;
-        if (rng.bernoulli(o.driftSpikeProb)) {
-            spec.spikeRatePerHour = rng.uniform(0.3, 2.0);
-            spec.spikeSeverity = rng.uniform(3.0, 10.0);
-            dev.drift = dev.drift.spiked(spec.spikeRatePerHour,
-                                         spec.spikeSeverity);
-            ++rep.driftSpikes;
+    for (int n = 0; n < N; ++n) {
+        for (int i = 0; i < members; ++i) {
+            int pick;
+            if (routed) {
+                pick = rng.uniformInt(0, lastIdx);
+            } else {
+                const int j = rng.uniformInt(i, lastIdx);
+                std::swap(idx[static_cast<std::size_t>(i)],
+                          idx[static_cast<std::size_t>(j)]);
+                pick = idx[static_cast<std::size_t>(i)];
+            }
+            Device dev = catalog[static_cast<std::size_t>(pick)];
+            DeviceSpec spec;
+            spec.name = dev.name;
+            spec.node = n;
+            if (rng.bernoulli(o.driftSpikeProb)) {
+                spec.spikeRatePerHour = rng.uniform(0.3, 2.0);
+                spec.spikeSeverity = rng.uniform(3.0, 10.0);
+                dev.drift = dev.drift.spiked(spec.spikeRatePerHour,
+                                             spec.spikeSeverity);
+                ++rep.driftSpikes;
+            }
+            lineups[static_cast<std::size_t>(n)].push_back(
+                std::move(dev));
+            specs.push_back(std::move(spec));
         }
-        devices.push_back(std::move(dev));
-        specs.push_back(std::move(spec));
     }
 
+    // Every node shares one ServiceOptions (the journal config
+    // describes the whole fleet).
     serve::ServiceOptions so;
     so.seed = splitmix64(o.seed ^ 0xC4A05EEDull);
     so.resultCacheTtlH = o.cacheTtlH;
@@ -785,26 +803,59 @@ ChaosEngine::run(TaskPool *pool)
     };
     so.aggregation = modes[o.seed % 3];
 
-    SteadyClock steady(o.timescaleS);
-    serve::ServiceNode node(devices, so,
-                            o.steadyClock ? &steady : nullptr);
+    serve::RouterOptions ro;
+    SteadyClock wall(o.timescaleS);
+    std::unique_ptr<serve::Router> router;
+    std::unique_ptr<serve::ServiceNode> single;
+    std::vector<serve::ServiceNode *> nodes;
+    if (routed) {
+        router = std::make_unique<serve::Router>(ro);
+        for (std::vector<Device> &lineup : lineups)
+            nodes.push_back(
+                &router->node(router->addNode(std::move(lineup), so)));
+    } else {
+        single = std::make_unique<serve::ServiceNode>(
+            std::move(lineups[0]), so, steady ? &wall : nullptr);
+        nodes.push_back(single.get());
+    }
+    auto setSink = [&](JournalSink *sink) {
+        if (router)
+            router->setJournalSink(sink);
+        else
+            single->setJournalSink(sink);
+    };
+    auto registerWorkload = [&](const VqaProblem &p) {
+        return router ? router->registerWorkload(p.ansatz, p.hamiltonian)
+                      : single->registerWorkload(p.ansatz, p.hamiltonian);
+    };
+    auto submit = [&](const serve::JobRequest &req) {
+        if (router)
+            router->submit(req);
+        else
+            single->submit(req);
+    };
+
     journal_.config.options = so;
     journal_.config.devices = specs;
     journal_.config.workloads = {{"heisenberg_vqe", 7},
                                  {"ring_maxcut_qaoa", 7}};
-    if (o.steadyClock)
+    journal_.config.nodes = N;
+    journal_.config.virtualNodes = ro.virtualNodes;
+    journal_.config.forwardHops = ro.forwardHops;
+    if (steady)
         journal_.config.clock = "steady";
-    node.setJournalSink(&journal_);
+    setSink(&journal_);
 
     VqaProblem vqe = problemByName("heisenberg_vqe", 7);
     VqaProblem qaoa = problemByName("ring_maxcut_qaoa", 7);
-    const serve::WorkloadId wVqe =
-        node.registerWorkload(vqe.ansatz, vqe.hamiltonian);
-    const serve::WorkloadId wQaoa =
-        node.registerWorkload(qaoa.ansatz, qaoa.hamiltonian);
+    const serve::WorkloadId wVqe = registerWorkload(vqe);
+    const serve::WorkloadId wQaoa = registerWorkload(qaoa);
 
-    std::vector<bool> dead(static_cast<std::size_t>(members), false);
-    // Catalog devices not in the starting lineup: the join pool.
+    // dead[n][m]: node n's member m is currently killed.
+    std::vector<std::vector<bool>> dead(
+        static_cast<std::size_t>(N),
+        std::vector<bool>(static_cast<std::size_t>(members), false));
+    // Catalog devices not in the single node's lineup: the join pool.
     int nextSpare = members;
     const int pairs = (o.tenants + 1) / 2;
     std::vector<int> lastRoundKey(static_cast<std::size_t>(pairs), -1);
@@ -814,39 +865,43 @@ ChaosEngine::run(TaskPool *pool)
     for (int round = 0; round < o.rounds; ++round) {
         // Probabilistic restores first: a member brought back before
         // the round's submissions is eligible for planning again.
-        for (std::size_t m = 0; m < dead.size(); ++m) {
-            if (dead[m] && rng.bernoulli(o.restoreProb)) {
-                node.restoreMember(m);
-                dead[m] = false;
-                ++rep.restores;
+        for (std::size_t n = 0; n < nodes.size(); ++n) {
+            std::vector<bool> &d = dead[n];
+            for (std::size_t m = 0; m < d.size(); ++m) {
+                if (d[m] && rng.bernoulli(o.restoreProb)) {
+                    nodes[n]->restoreMember(m);
+                    d[m] = false;
+                    ++rep.restores;
+                }
             }
         }
 
         // Live membership churn: join a spare catalog device or
         // retire an active member. All draws are gated on churnProb
         // so legacy seeds stay byte-stable with the knob off.
-        if (o.churnProb > 0.0 && rng.bernoulli(o.churnProb)) {
+        if (!routed && o.churnProb > 0.0 && rng.bernoulli(o.churnProb)) {
+            std::vector<bool> &d = dead[0];
             const bool canJoin =
                 nextSpare < static_cast<int>(idx.size());
             if (canJoin && rng.bernoulli(0.5)) {
                 Device dev = catalog[static_cast<std::size_t>(
                     idx[static_cast<std::size_t>(nextSpare++)])];
-                node.addMember(std::move(dev),
-                               baseH + rng.uniform(0.0, 0.2));
-                dead.push_back(false);
+                single->addMember(std::move(dev),
+                                  baseH + rng.uniform(0.0, 0.2));
+                d.push_back(false);
                 ++rep.joins;
             } else {
                 const int m = rng.uniformInt(
-                    0, static_cast<int>(dead.size()) - 1);
-                node.removeMember(static_cast<std::size_t>(m),
-                                  baseH + rng.uniform(0.0, 0.3));
+                    0, static_cast<int>(d.size()) - 1);
+                single->removeMember(static_cast<std::size_t>(m),
+                                     baseH + rng.uniform(0.0, 0.3));
                 ++rep.leaves;
             }
         }
 
         // Per-pair round keys: a pair resubmitting an earlier round's
-        // binding walks into the result cache; otherwise the pair's
-        // two tenants still share a binding and coalesce.
+        // binding walks into its node's result cache; otherwise the
+        // pair's two tenants still share a binding and coalesce.
         std::vector<int> roundKey(static_cast<std::size_t>(pairs),
                                   round);
         for (int p = 0; p < pairs; ++p) {
@@ -859,6 +914,8 @@ ChaosEngine::run(TaskPool *pool)
         }
 
         // Normal traffic: pairs of tenants submit identical bindings.
+        // Behind a router distinct pair bindings hash to distinct home
+        // nodes, so the keyspace spreads.
         for (int t = 0; t < o.tenants; ++t) {
             const int pair = t / 2;
             const bool useQaoa = pair % 2 == 1;
@@ -887,238 +944,41 @@ ChaosEngine::run(TaskPool *pool)
                 // loose enough that most SLOs are attainable. Skewed
                 // submitters can blow their own SLO at the door.
                 req.deadlineH = req.submitH + rng.uniform(0.05, 0.6);
-            node.submit(req);
+            submit(req);
         }
 
-        // Tenant flood: one tenant hammers the door far past both the
-        // node-wide depth and its own quota.
+        // Tenant flood: one tenant hammers one binding far past its
+        // node's depth and its own quota. Behind a router the binding
+        // lands on a drawn pair's home node and the overflow walks the
+        // ring successors, exercising forwards and
+        // rejected-everywhere tails.
         if (rng.bernoulli(o.floodProb)) {
             ++rep.floods;
             serve::JobRequest flood;
             flood.tenantId = rng.uniformInt(0, o.tenants - 1);
             flood.workload = wVqe;
             flood.params = vqe.initialParams;
+            if (routed)
+                flood.params[0] += 0.13 * rng.uniformInt(0, pairs);
             flood.shots = 64;
             flood.priority = 0;
             flood.submitH = baseH;
-            const int burst = static_cast<int>(o.queueDepth) + 4;
+            const int burst = (static_cast<int>(o.queueDepth) + 4) *
+                              std::min(N, 1 + ro.forwardHops);
             for (int i = 0; i < burst; ++i)
-                node.submit(flood);
+                submit(flood);
         }
 
-        // Kills aimed at the window the coming drain executes in:
-        // nextTimeH() is the earliest pending intake, so a kill hour
-        // shortly after it lands mid-run and forces requeues.
-        const double windowH =
-            std::isfinite(node.loop().nextTimeH())
-                ? node.loop().nextTimeH()
-                : baseH;
-        for (std::size_t m = 0; m < dead.size(); ++m) {
-            if (!dead[m] && rng.bernoulli(o.killProb)) {
-                node.failMemberAt(m, windowH + rng.uniform(0.0, 0.5));
-                dead[m] = true;
-                ++rep.kills;
-            }
-        }
-
-        std::vector<serve::JobOutcome> out = node.drain(pool);
-        rep.jobsCompleted += static_cast<int>(out.size());
-        baseH = node.loop().now() + 0.01;
-    }
-
-    node.setJournalSink(nullptr);
-    rep.counters = node.counters();
-    rep.sheds = static_cast<int>(rep.counters.deadlineSheds);
-    rep.violations = InvariantChecker::check(journal_);
-
-    // Wall-clock journals carry real timestamps and are not
-    // bit-replayable; the invariant audit above still applies.
-    if (o.verifyReplay && !o.steadyClock) {
-        std::string err;
-        EventJournal parsed =
-            EventJournal::parse(journal_.serialize(), &err);
-        if (!err.empty()) {
-            flag(rep.violations, "journal-roundtrip", err);
-        } else {
-            Replayer replayer(std::move(parsed));
-            ReplayResult rr = replayer.run(pool);
-            rep.replayVerified = true;
-            for (const std::string &m : rr.mismatches)
-                flag(rep.violations, "replay-divergence", m);
-        }
-    }
-    return rep;
-}
-
-ChaosReport
-ChaosEngine::runRouted(TaskPool *pool)
-{
-    const ChaosOptions &o = opts_;
-    journal_ = EventJournal();
-    ChaosReport rep;
-    rep.seed = o.seed;
-
-    Rng rng = Rng(o.seed).fork("chaos-routed");
-    const int N = std::max(2, o.nodes);
-
-    // Per-node lineups drawn from the evaluation catalog. Nodes may
-    // front the same catalog device (they are separate simulators);
-    // drift spikes travel into the journal config per spec.
-    std::vector<Device> catalog = evaluationEnsemble();
-    const int members =
-        std::max(1, std::min<int>(o.members,
-                                  static_cast<int>(catalog.size())));
-
-    // Every node shares one ServiceOptions (the journal config
-    // describes the whole fleet); the Router spans their id ranges.
-    serve::ServiceOptions so;
-    so.seed = splitmix64(o.seed ^ 0xC4A05EEDull);
-    so.resultCacheTtlH = o.cacheTtlH;
-    so.admission.maxQueueDepth = o.queueDepth;
-    so.admission.maxQueuedPerTenant = o.tenantQuota;
-    so.scheduler.minShardShots = 32;
-    static const serve::AggregationMode modes[] = {
-        serve::AggregationMode::FidelityWeighted,
-        serve::AggregationMode::EquiWeighted,
-        serve::AggregationMode::MajorityVote,
-    };
-    so.aggregation = modes[o.seed % 3];
-
-    serve::RouterOptions ro;
-    serve::Router router(ro);
-    std::vector<DeviceSpec> specs;
-    for (int n = 0; n < N; ++n) {
-        std::vector<Device> devices;
-        for (int i = 0; i < members; ++i) {
-            const int j = rng.uniformInt(
-                0, static_cast<int>(catalog.size()) - 1);
-            Device dev = catalog[static_cast<std::size_t>(j)];
-            DeviceSpec spec;
-            spec.name = dev.name;
-            spec.node = n;
-            if (rng.bernoulli(o.driftSpikeProb)) {
-                spec.spikeRatePerHour = rng.uniform(0.3, 2.0);
-                spec.spikeSeverity = rng.uniform(3.0, 10.0);
-                dev.drift = dev.drift.spiked(spec.spikeRatePerHour,
-                                             spec.spikeSeverity);
-                ++rep.driftSpikes;
-            }
-            devices.push_back(std::move(dev));
-            specs.push_back(std::move(spec));
-        }
-        router.addNode(std::move(devices), so);
-    }
-
-    journal_.config.options = so;
-    journal_.config.devices = specs;
-    journal_.config.workloads = {{"heisenberg_vqe", 7},
-                                 {"ring_maxcut_qaoa", 7}};
-    journal_.config.nodes = N;
-    journal_.config.virtualNodes = ro.virtualNodes;
-    journal_.config.forwardHops = ro.forwardHops;
-    router.setJournalSink(&journal_);
-
-    VqaProblem vqe = problemByName("heisenberg_vqe", 7);
-    VqaProblem qaoa = problemByName("ring_maxcut_qaoa", 7);
-    const serve::WorkloadId wVqe =
-        router.registerWorkload(vqe.ansatz, vqe.hamiltonian);
-    const serve::WorkloadId wQaoa =
-        router.registerWorkload(qaoa.ansatz, qaoa.hamiltonian);
-
-    // dead[n][m]: node n's member m is currently killed.
-    std::vector<std::vector<bool>> dead(
-        static_cast<std::size_t>(N),
-        std::vector<bool>(static_cast<std::size_t>(members), false));
-    const int pairs = (o.tenants + 1) / 2;
-    std::vector<int> lastRoundKey(static_cast<std::size_t>(pairs), -1);
-    double baseH = 0.0;
-    const int shotSteps = std::max(1, o.maxShots / 64);
-
-    for (int round = 0; round < o.rounds; ++round) {
-        // Probabilistic restores, per node.
-        for (int n = 0; n < N; ++n) {
-            auto &d = dead[static_cast<std::size_t>(n)];
-            for (std::size_t m = 0; m < d.size(); ++m) {
-                if (d[m] && rng.bernoulli(o.restoreProb)) {
-                    router.node(static_cast<std::size_t>(n))
-                        .restoreMember(m);
-                    d[m] = false;
-                    ++rep.restores;
-                }
-            }
-        }
-
-        // Round keys as in the single-node schedule: pairs repeating
-        // an earlier binding exercise their home node's cache.
-        std::vector<int> roundKey(static_cast<std::size_t>(pairs),
-                                  round);
-        for (int p = 0; p < pairs; ++p) {
-            if (lastRoundKey[static_cast<std::size_t>(p)] >= 0 &&
-                rng.bernoulli(o.repeatProb))
-                roundKey[static_cast<std::size_t>(p)] =
-                    lastRoundKey[static_cast<std::size_t>(p)];
-            lastRoundKey[static_cast<std::size_t>(p)] =
-                roundKey[static_cast<std::size_t>(p)];
-        }
-
-        // Normal traffic through the router: distinct pair bindings
-        // hash to distinct home nodes, so the keyspace spreads.
-        for (int t = 0; t < o.tenants; ++t) {
-            const int pair = t / 2;
-            const bool useQaoa = pair % 2 == 1;
-            const VqaProblem &prob = useQaoa ? qaoa : vqe;
-            serve::JobRequest req;
-            req.tenantId = t;
-            req.workload = useQaoa ? wQaoa : wVqe;
-            req.params = pairBinding(
-                prob, pair, roundKey[static_cast<std::size_t>(pair)]);
-            req.shots = 64 * rng.uniformInt(1, shotSteps);
-            req.priority = rng.uniformInt(0, 2);
-            req.submitH = baseH + rng.uniform(0.0, 0.05);
-            if (rng.bernoulli(o.skewProb)) {
-                req.submitH =
-                    rng.bernoulli(0.5)
-                        ? std::max(0.0,
-                                   baseH - rng.uniform(0.0, 0.3))
-                        : baseH + rng.uniform(0.3, 0.8);
-                ++rep.skewed;
-            }
-            if (o.deadlineProb > 0.0 &&
-                rng.bernoulli(o.deadlineProb))
-                req.deadlineH = req.submitH + rng.uniform(0.05, 0.6);
-            router.submit(req);
-        }
-
-        // Tenant flood: one binding hammered far past its home node's
-        // depth and quota — the overflow walks the ring successors,
-        // exercising forwards and rejected-everywhere tails.
-        if (rng.bernoulli(o.floodProb)) {
-            ++rep.floods;
-            serve::JobRequest flood;
-            flood.tenantId = rng.uniformInt(0, o.tenants - 1);
-            flood.workload = wVqe;
-            flood.params = vqe.initialParams;
-            flood.params[0] += 0.13 * rng.uniformInt(0, pairs);
-            flood.shots = 64;
-            flood.priority = 0;
-            flood.submitH = baseH;
-            const int burst =
-                (static_cast<int>(o.queueDepth) + 4) *
-                std::min(N, 1 + ro.forwardHops);
-            for (int i = 0; i < burst; ++i)
-                router.submit(flood);
-        }
-
-        // Kills aimed per node at the window its coming drain
-        // executes in.
-        for (int n = 0; n < N; ++n) {
-            serve::ServiceNode &node =
-                router.node(static_cast<std::size_t>(n));
+        // Kills aimed per node at the window its coming drain executes
+        // in: nextTimeH() is the earliest pending intake, so a kill
+        // hour shortly after it lands mid-run and forces requeues.
+        for (std::size_t n = 0; n < nodes.size(); ++n) {
+            serve::ServiceNode &node = *nodes[n];
             const double windowH =
                 std::isfinite(node.loop().nextTimeH())
                     ? node.loop().nextTimeH()
                     : baseH;
-            auto &d = dead[static_cast<std::size_t>(n)];
+            std::vector<bool> &d = dead[n];
             for (std::size_t m = 0; m < d.size(); ++m) {
                 if (!d[m] && rng.bernoulli(o.killProb)) {
                     node.failMemberAt(m,
@@ -1129,25 +989,31 @@ ChaosEngine::runRouted(TaskPool *pool)
             }
         }
 
-        std::vector<serve::JobOutcome> out = router.drain();
+        // Fleet nodes drain on their own single-thread pools.
+        std::vector<serve::JobOutcome> out =
+            router ? router->drain() : single->drain(pool);
         rep.jobsCompleted += static_cast<int>(out.size());
         double maxNowH = 0.0;
-        for (int n = 0; n < N; ++n)
-            maxNowH = std::max(
-                maxNowH,
-                router.node(static_cast<std::size_t>(n)).loop().now());
+        for (serve::ServiceNode *node : nodes)
+            maxNowH = std::max(maxNowH, node->loop().now());
         baseH = maxNowH + 0.01;
     }
 
-    router.setJournalSink(nullptr);
-    rep.counters = router.totals();
+    setSink(nullptr);
+    if (router) {
+        rep.counters = router->totals();
+        rep.forwards = static_cast<int>(router->counters().forwards);
+        rep.forwardAdmits =
+            static_cast<int>(router->counters().forwardAdmits);
+    } else {
+        rep.counters = single->counters();
+    }
     rep.sheds = static_cast<int>(rep.counters.deadlineSheds);
-    rep.forwards = static_cast<int>(router.counters().forwards);
-    rep.forwardAdmits =
-        static_cast<int>(router.counters().forwardAdmits);
     rep.violations = InvariantChecker::check(journal_);
 
-    if (o.verifyReplay) {
+    // Wall-clock journals carry real timestamps and are not
+    // bit-replayable; the invariant audit above still applies.
+    if (o.verifyReplay && !steady) {
         std::string err;
         EventJournal parsed =
             EventJournal::parse(journal_.serialize(), &err);

@@ -142,12 +142,14 @@ struct ChaosOptions
     /** SteadyClock scale: wall seconds per serving hour. */
     double timescaleS = 0.002;
     /**
-     * Service nodes fronted by a Router. 1 (the default) keeps the
-     * legacy single-node schedules byte-stable; > 1 routes every
-     * submission through a consistent-hash Router with overflow
-     * forwarding — floods overflow across nodes, kills/deadlines are
-     * drawn per node — and audits I13/I14 on top of I1..I12. Routed
-     * schedules use `members` ensemble members per node.
+     * Service nodes in the schedule. 1 (the default) drives one
+     * ServiceNode. > 1 routes every submission through a
+     * consistent-hash Router with overflow forwarding: floods
+     * overflow across nodes, kills are drawn per node, and I13/I14
+     * are audited on top of I1..I12. Each node gets `members`
+     * ensemble members drawn with replacement; churnProb and
+     * steadyClock are ignored (routed schedules run on the virtual
+     * clock).
      */
     int nodes = 1;
 };
@@ -197,8 +199,11 @@ struct ChaosReport
 /**
  * Deterministic chaos-schedule generator/driver: same options (seed
  * included) => same journal text, same report, for any TaskPool
- * thread count. The journal of the last run() stays accessible for
- * artifact dumps of failing seeds.
+ * thread count. One schedule body serves one node and a routed
+ * fleet alike; the modes differ only in their RNG fork label, lineup
+ * draw, flood binding and burst, drain call and report counters
+ * (docs/ARCHITECTURE.md, "Replay & chaos"). The journal of the last
+ * run() stays accessible for artifact dumps of failing seeds.
  */
 class ChaosEngine
 {
@@ -212,9 +217,6 @@ class ChaosEngine
     const ChaosOptions &options() const { return opts_; }
 
   private:
-    /** Multi-node schedule body (ChaosOptions::nodes > 1). */
-    ChaosReport runRouted(TaskPool *pool);
-
     ChaosOptions opts_;
     EventJournal journal_;
 };

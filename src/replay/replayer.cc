@@ -1,6 +1,9 @@
 #include "replay/replayer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -62,6 +65,21 @@ intMismatch(uint64_t jobId, const char *field, long long got,
     return "job " + std::to_string(jobId) + ": " + field +
            " replayed " + std::to_string(got) + " recorded " +
            std::to_string(want);
+}
+
+/** The request an Admit, Reject or Route record carries verbatim. */
+serve::JobRequest
+requestOf(const EventRecord &r)
+{
+    serve::JobRequest req;
+    req.tenantId = r.tenant;
+    req.workload = r.workload;
+    req.params = r.params;
+    req.shots = r.shots;
+    req.priority = r.priority;
+    req.submitH = r.submitH;
+    req.deadlineH = r.deadlineH;
+    return req;
 }
 
 /** Compare replayed @p outcomes against the journal's Finalizes. */
@@ -126,81 +144,108 @@ compareFinalizes(const EventJournal &journal,
             ": journal finalized it but the replay never did");
 }
 
-/**
- * Routed replay (config.nodes > 1): rebuild the Router fleet, re-drive
- * every Route record through Router::submit — the router re-derives
- * the home node, forwards and verdicts deterministically, so the
- * terminal Admit/Reject of each routed request must match the journal
- * — plus node-dispatched member health transitions and drains.
- */
-ReplayResult
-replayRouted(const EventJournal &journal, TaskPool *pool)
-{
-    (void)pool; // nodes drain through their own single-thread pools
-    ReplayResult res;
-    const JournalConfig &c = journal.config;
+} // namespace
 
-    for (const DeviceSpec &spec : c.devices) {
-        if (spec.node < 0 || spec.node >= c.nodes) {
-            res.mismatches.push_back(
-                "device '" + spec.name + "' names node " +
-                std::to_string(spec.node) + " outside the fleet of " +
-                std::to_string(c.nodes));
-            return res;
-        }
+ReplayResult
+Replayer::run(TaskPool *pool) const
+{
+    ReplayResult res;
+    const JournalConfig &c = journal_.config;
+    if (c.devices.empty()) {
+        res.mismatches.push_back("journal config lists no devices");
+        return res;
     }
 
-    serve::RouterOptions ro;
-    ro.virtualNodes = c.virtualNodes;
-    ro.forwardHops = c.forwardHops;
-    serve::Router router(ro);
-    for (int n = 0; n < c.nodes; ++n) {
-        std::vector<Device> devices = devicesFor(c, n);
-        if (devices.empty()) {
-            res.mismatches.push_back(
-                "journal config lists no devices for node " +
-                std::to_string(n));
-            return res;
+    // Rebuild the recorded target: one ServiceNode, or (nodes > 1) a
+    // Router fleet with each node's own members.
+    std::unique_ptr<serve::Router> router;
+    std::unique_ptr<serve::ServiceNode> single;
+    std::vector<serve::ServiceNode *> nodes;
+    if (c.nodes > 1) {
+        for (const DeviceSpec &spec : c.devices) {
+            if (spec.node < 0 || spec.node >= c.nodes) {
+                res.mismatches.push_back(
+                    "device '" + spec.name + "' names node " +
+                    std::to_string(spec.node) +
+                    " outside the fleet of " + std::to_string(c.nodes));
+                return res;
+            }
         }
-        router.addNode(std::move(devices), c.options);
+        serve::RouterOptions ro;
+        ro.virtualNodes = c.virtualNodes;
+        ro.forwardHops = c.forwardHops;
+        router = std::make_unique<serve::Router>(ro);
+        for (int n = 0; n < c.nodes; ++n) {
+            std::vector<Device> devices = devicesFor(c, n);
+            if (devices.empty()) {
+                res.mismatches.push_back(
+                    "journal config lists no devices for node " +
+                    std::to_string(n));
+                return res;
+            }
+            nodes.push_back(&router->node(
+                router->addNode(std::move(devices), c.options)));
+        }
+    } else {
+        single = std::make_unique<serve::ServiceNode>(devicesFor(c),
+                                                      c.options);
+        nodes.push_back(single.get());
     }
     for (const WorkloadSpec &w : c.workloads) {
         VqaProblem p = problemByName(w.problem, w.initSeed);
-        router.registerWorkload(p.ansatz, p.hamiltonian);
+        if (router)
+            router->registerWorkload(p.ansatz, p.hamiltonian);
+        else
+            single->registerWorkload(p.ansatz, p.hamiltonian);
     }
+    // Fleet nodes drain on their own single-thread pools.
+    auto runTo = [&](double limitH) {
+        if (router)
+            return std::isfinite(limitH) ? router->runUntil(limitH)
+                                         : router->drain();
+        return std::isfinite(limitH) ? single->runUntil(limitH, pool)
+                                     : single->drain(pool);
+    };
 
     // Terminal verdict of each routed request: the last Admit/Reject
     // stamped with its ruid (the chain's end after any forwards).
     std::unordered_map<uint64_t, const EventRecord *> terminal;
-    for (const EventRecord &r : journal.records())
+    for (const EventRecord &r : journal_.records())
         if ((r.kind == EventKind::Admit ||
              r.kind == EventKind::Reject) &&
             r.ruid != 0)
             terminal[r.ruid] = &r;
 
-    auto nodeOk = [&](const EventRecord &r) {
-        if (r.node >= 0 &&
-            static_cast<std::size_t>(r.node) < router.numNodes())
-            return true;
-        res.mismatches.push_back(
-            std::string(kindName(r.kind)) + " record names node " +
-            std::to_string(r.node) + " outside the fleet");
-        return false;
-    };
-
+    // Re-drive the recorded stimulus in publication order: requests
+    // (admission verdicts are part of the contract), member health
+    // and membership transitions, and drains. Everything else is
+    // derived and verified via the Finalizes below.
     std::vector<serve::JobOutcome> outcomes;
-    for (const EventRecord &r : journal.records()) {
+    for (const EventRecord &r : journal_.records()) {
         switch (r.kind) {
+        case EventKind::Admit:
+        case EventKind::Reject: {
+            // A routed verdict is re-derived from its Route record.
+            if (router)
+                break;
+            serve::Ticket t = single->submit(requestOf(r));
+            if (static_cast<int>(t.status) != r.status)
+                res.mismatches.push_back(intMismatch(
+                    r.jobId, "admit status",
+                    static_cast<int>(t.status), r.status));
+            else if (r.kind == EventKind::Admit && t.jobId != r.jobId)
+                res.mismatches.push_back(
+                    intMismatch(r.jobId, "job id",
+                                static_cast<long long>(t.jobId),
+                                static_cast<long long>(r.jobId)));
+            break;
+        }
         case EventKind::Route: {
-            serve::JobRequest req;
-            req.tenantId = r.tenant;
-            req.workload = r.workload;
-            req.params = r.params;
-            req.shots = r.shots;
-            req.priority = r.priority;
-            req.submitH = r.submitH;
-            req.deadlineH = r.deadlineH;
-            const serve::Ticket t = router.submit(req);
+            // The router re-derives the home node, forwards and
+            // verdict; the chain's terminal verdict must match.
+            if (!router)
+                break;
+            const serve::Ticket t = router->submit(requestOf(r));
             auto it = terminal.find(r.ruid);
             if (it == terminal.end()) {
                 res.mismatches.push_back(
@@ -222,139 +267,69 @@ replayRouted(const EventJournal &journal, TaskPool *pool)
             break;
         }
         case EventKind::MemberFail:
-            if (nodeOk(r))
-                router.node(static_cast<std::size_t>(r.node))
-                    .failMemberAt(static_cast<std::size_t>(r.member),
-                                  r.atH);
-            break;
         case EventKind::MemberRestore:
-            if (!r.autoRestore && nodeOk(r))
-                router.node(static_cast<std::size_t>(r.node))
-                    .restoreMember(
-                        static_cast<std::size_t>(r.member));
-            break;
         case EventKind::MemberJoin:
-            if (nodeOk(r))
-                router.node(static_cast<std::size_t>(r.node))
-                    .addMember(deviceByName(r.name, c.catalogSeed),
+        case EventKind::MemberLeave: {
+            // Supervised restores are produced by the node's own
+            // backoff events — re-driving them would double-restore.
+            if (r.kind == EventKind::MemberRestore && r.autoRestore)
+                break;
+            if (router && (r.node < 0 || static_cast<std::size_t>(
+                                             r.node) >= nodes.size())) {
+                res.mismatches.push_back(
+                    std::string(kindName(r.kind)) +
+                    " record names node " + std::to_string(r.node) +
+                    " outside the fleet");
+                break;
+            }
+            serve::ServiceNode &node =
+                *nodes[router ? static_cast<std::size_t>(r.node) : 0];
+            if (r.kind == EventKind::MemberJoin) {
+                node.addMember(deviceByName(r.name, c.catalogSeed),
                                r.atH);
+                break;
+            }
+            if (r.member < 0 || static_cast<std::size_t>(r.member) >=
+                                    node.numMembers()) {
+                res.mismatches.push_back(
+                    std::string(kindName(r.kind)) +
+                    " record names member " + std::to_string(r.member) +
+                    " outside its node's " +
+                    std::to_string(node.numMembers()) + " members");
+                break;
+            }
+            const auto m = static_cast<std::size_t>(r.member);
+            if (r.kind == EventKind::MemberFail)
+                node.failMemberAt(m, r.atH);
+            else if (r.kind == EventKind::MemberRestore)
+                node.restoreMember(m);
+            else
+                node.removeMember(m, r.atH);
             break;
-        case EventKind::MemberLeave:
-            if (nodeOk(r))
-                router.node(static_cast<std::size_t>(r.node))
-                    .removeMember(static_cast<std::size_t>(r.member),
-                                  r.atH);
-            break;
+        }
         case EventKind::Drain: {
             // A router drain journals one Drain per node, in node
             // order; node 0's record is the cue to re-drive the whole
             // fleet drain, the others are its echoes.
-            if (r.node != 0)
+            if (router && r.node != 0)
                 break;
-            std::vector<serve::JobOutcome> got =
-                std::isfinite(r.atH) ? router.runUntil(r.atH)
-                                     : router.drain();
+            std::vector<serve::JobOutcome> got = runTo(r.atH);
             outcomes.insert(outcomes.end(), got.begin(), got.end());
             break;
         }
         default:
-            break; // Admit/Reject/Forward re-derive from Route
-        }
-    }
-    bool pending = false;
-    for (std::size_t n = 0; n < router.numNodes(); ++n)
-        if (router.node(n).pendingJobs() > 0 ||
-            !router.node(n).loop().empty())
-            pending = true;
-    if (pending) {
-        std::vector<serve::JobOutcome> got = router.drain();
-        outcomes.insert(outcomes.end(), got.begin(), got.end());
-    }
-
-    compareFinalizes(journal, outcomes, res);
-    return res;
-}
-
-} // namespace
-
-ReplayResult
-Replayer::run(TaskPool *pool) const
-{
-    ReplayResult res;
-    const JournalConfig &c = journal_.config;
-    if (c.devices.empty()) {
-        res.mismatches.push_back("journal config lists no devices");
-        return res;
-    }
-    if (c.nodes > 1)
-        return replayRouted(journal_, pool);
-
-    serve::ServiceNode node(devicesFor(c), c.options);
-    for (const WorkloadSpec &w : c.workloads) {
-        VqaProblem p = problemByName(w.problem, w.initSeed);
-        node.registerWorkload(p.ansatz, p.hamiltonian);
-    }
-
-    // Re-drive the recorded stimulus in publication order: requests
-    // (admitted and rejected alike — admission verdicts are part of
-    // the contract), member health transitions, and drains.
-    std::vector<serve::JobOutcome> outcomes;
-    for (const EventRecord &r : journal_.records()) {
-        switch (r.kind) {
-        case EventKind::Admit:
-        case EventKind::Reject: {
-            serve::JobRequest req;
-            req.tenantId = r.tenant;
-            req.workload = r.workload;
-            req.params = r.params;
-            req.shots = r.shots;
-            req.priority = r.priority;
-            req.submitH = r.submitH;
-            req.deadlineH = r.deadlineH;
-            serve::Ticket t = node.submit(req);
-            if (static_cast<int>(t.status) != r.status)
-                res.mismatches.push_back(intMismatch(
-                    r.jobId, "admit status",
-                    static_cast<int>(t.status), r.status));
-            else if (r.kind == EventKind::Admit && t.jobId != r.jobId)
-                res.mismatches.push_back(
-                    intMismatch(r.jobId, "job id",
-                                static_cast<long long>(t.jobId),
-                                static_cast<long long>(r.jobId)));
             break;
         }
-        case EventKind::MemberFail:
-            node.failMemberAt(static_cast<std::size_t>(r.member),
-                              r.atH);
-            break;
-        case EventKind::MemberRestore:
-            // Supervised restores are produced by the node's own
-            // backoff events — re-driving them would double-restore.
-            if (!r.autoRestore)
-                node.restoreMember(static_cast<std::size_t>(r.member));
-            break;
-        case EventKind::MemberJoin:
-            node.addMember(deviceByName(r.name, c.catalogSeed), r.atH);
-            break;
-        case EventKind::MemberLeave:
-            node.removeMember(static_cast<std::size_t>(r.member),
-                              r.atH);
-            break;
-        case EventKind::Drain: {
-            std::vector<serve::JobOutcome> got =
-                std::isfinite(r.atH) ? node.runUntil(r.atH, pool)
-                                     : node.drain(pool);
-            outcomes.insert(outcomes.end(), got.begin(), got.end());
-            break;
-        }
-        default:
-            break; // derived records: verified via Finalize below
-        }
     }
-    if (node.pendingJobs() > 0 || !node.loop().empty()) {
-        // Journals normally end on a drained loop; tolerate a live
-        // capture cut mid-stream by finishing the pending work.
-        std::vector<serve::JobOutcome> got = node.drain(pool);
+    // Journals normally end on a drained loop; tolerate a live
+    // capture cut mid-stream by finishing the pending work.
+    if (std::any_of(nodes.begin(), nodes.end(),
+                    [](serve::ServiceNode *node) {
+                        return node->pendingJobs() > 0 ||
+                               !node->loop().empty();
+                    })) {
+        std::vector<serve::JobOutcome> got =
+            runTo(std::numeric_limits<double>::infinity());
         outcomes.insert(outcomes.end(), got.begin(), got.end());
     }
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * Journal-driven reconstruction of a ServiceNode run.
+ * Journal-driven reconstruction of a ServiceNode or Router-fleet run.
  *
  * A journal (replay/journal.h) is a complete causal record of one
- * node's serving history: the config names the devices (with any
- * chaos drift overrides), options and workloads; the Admit/Reject
- * records carry every request verbatim; MemberFail/MemberRestore and
- * Drain records pin the fault and drive schedule. Because the node is
- * bit-deterministic under a VirtualClock, re-driving exactly that
- * sequence through a freshly built node must reproduce every recorded
- * outcome to the bit — the Replayer asserts it, field by field, with
- * hex bit patterns in the mismatch diagnostics.
+ * node's, or one routed fleet's, serving history: the config names
+ * the devices (with any chaos drift overrides, grouped by node),
+ * options, workloads and ring shape; the Admit/Reject records (Route
+ * records behind a router) carry every request verbatim; member
+ * health/membership and Drain records pin the fault and drive
+ * schedule. Because the nodes are bit-deterministic under a
+ * VirtualClock, re-driving exactly that sequence through a freshly
+ * built target must reproduce every recorded outcome to the bit — the
+ * Replayer asserts it, field by field, with hex bit patterns in the
+ * mismatch diagnostics.
  *
  * That turns any production incident or failing chaos seed into a
  * local repro: feed the journal artifact to the Replayer and the full
@@ -64,10 +66,15 @@ struct ReplayResult
 };
 
 /**
- * Re-drives a journal through a freshly reconstructed ServiceNode on
- * its own VirtualClock and verifies every recorded Finalize (and
- * admission verdict) bit-for-bit. Only meaningful for journals whose
- * config.clock is "virtual" — wall-clock runs are not bit-replayable.
+ * Re-drives a journal through a freshly reconstructed target — one
+ * ServiceNode, or a Router over config.nodes > 1 nodes — on virtual
+ * clocks, and verifies every recorded Finalize (and admission
+ * verdict) bit-for-bit. One record loop serves both targets; only
+ * request re-drive (Admit/Reject vs Route), member-record targeting
+ * and the drain cue differ. A record naming a node or member the
+ * target lacks is a mismatch, never an exception. Only meaningful
+ * for journals whose config.clock is "virtual" — wall-clock runs are
+ * not bit-replayable.
  */
 class Replayer
 {
@@ -79,8 +86,9 @@ class Replayer
 
     /**
      * Rebuild + re-drive + compare.
-     * @param pool shard fan-out pool (nullptr = TaskPool::shared());
-     *        any thread count yields the same bits by design.
+     * @param pool a single node's shard fan-out pool (nullptr =
+     *        TaskPool::shared()); fleet nodes use their own. Any
+     *        thread count yields the same bits by design.
      */
     ReplayResult run(TaskPool *pool = nullptr) const;
 

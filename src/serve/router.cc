@@ -361,13 +361,6 @@ Router::runUntil(double limitH)
 }
 
 void
-Router::stop()
-{
-    for (NodeSlot &s : nodes_)
-        s.node->stop();
-}
-
-void
 Router::stopServe()
 {
     drainPool_.reset();

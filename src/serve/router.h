@@ -167,9 +167,6 @@ class Router
     /** Run every node until model hour @p limitH; merged outcomes. */
     std::vector<JobOutcome> runUntil(double limitH);
 
-    /** Ask every node's running loop to return (thread-safe). */
-    void stop();
-
     /**
      * Release the threaded-drain pool's threads (idempotent). The
      * next threaded drain creates the pool again.

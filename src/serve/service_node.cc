@@ -1369,12 +1369,6 @@ ServiceNode::runUntil(double limitH, TaskPool *pool)
     return collectOutcomes();
 }
 
-void
-ServiceNode::stop()
-{
-    loop_.requestStop();
-}
-
 NodeLoad
 ServiceNode::loadSnapshot() const
 {

@@ -215,12 +215,6 @@ class ServiceNode
                                      TaskPool *pool = nullptr);
 
     /**
-     * Ask a running loop (drain/runUntil) to return before its next
-     * event. Safe from event handlers and other threads.
-     */
-    void stop();
-
-    /**
      * Placement-relevant load right now: queue depth, in-flight
      * shards, alive member count and warm plan-cache keys. See
      * NodeLoad. Not synchronized with a running drain — callers

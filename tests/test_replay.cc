@@ -8,12 +8,16 @@
  * mid-flight rider join — chaos schedules that stay clean and
  * byte-identical across TaskPool thread counts (with deadline/churn
  * injection on, and on a SteadyClock where only the timing invariants
- * are checkable), hand-built journals that trip each invariant, and
- * the shard-resolution decay of per-member queue depths.
+ * are checkable), pinned digests of single-node, streaming and routed
+ * chaos journals plus a replay of the committed routed journal
+ * fixture, hand-built journals that trip each invariant or name a
+ * member the replayed node lacks, and the shard-resolution decay of
+ * per-member queue depths.
  */
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -598,9 +602,9 @@ pinnedOptions(PinnedMode mode, uint64_t seed)
 
 TEST(ChaosEngine, JournalBytesArePinned)
 {
-    // Digests of journal().serialize() recorded before the single-node
-    // and routed schedules shared one body. Any reordered, added or
-    // dropped draw changes the journal text and so its digest.
+    // Digests of journal().serialize() per mode. Any reordered, added
+    // or dropped draw changes the journal text and so its digest, so a
+    // rework of the schedule must leave every one of them unchanged.
     struct Pin
     {
         PinnedMode mode;
@@ -632,13 +636,10 @@ TEST(ChaosEngine, JournalBytesArePinned)
             << "mode " << static_cast<int>(p.mode) << " seed " << p.seed
             << ": journal digest 0x" << std::hex << got;
     }
-}
 
-TEST(Replayer, CommittedRoutedJournalReplaysBitIdentical)
-{
-    // A journal captured by an older build and committed as a fixture:
-    // the current code must re-derive every routed verdict and
-    // finalize it records.
+    // A routed journal captured by an older build and committed as a
+    // fixture: the current code must re-derive every routed verdict
+    // and finalize it records.
     std::ifstream in(std::string(EQC_TEST_DATA_DIR) +
                          "/mini_journal.jsonl",
                      std::ios::binary);
@@ -651,10 +652,7 @@ TEST(Replayer, CommittedRoutedJournalReplaysBitIdentical)
     ASSERT_TRUE(err.empty()) << err;
     EXPECT_EQ(parsed.config.nodes, 3);
     EXPECT_EQ(parsed.size(), 335u);
-
-    Replayer replayer(std::move(parsed));
-    TaskPool pool(1);
-    ReplayResult res = replayer.run(&pool);
+    ReplayResult res = Replayer(std::move(parsed)).run(&pool);
     EXPECT_EQ(res.jobsCompared, 20u);
     EXPECT_TRUE(res.identical())
         << (res.mismatches.empty() ? "" : res.mismatches.front());
@@ -1120,6 +1118,55 @@ TEST(InvariantChecker, FlagsForwardWithoutRejection)
     std::vector<Violation> v = InvariantChecker::check(j);
     ASSERT_EQ(v.size(), 1u);
     EXPECT_EQ(v[0].invariant, "forward-only-on-rejection");
+}
+
+// ---------------------------------------------------------------------------
+// Replay of hand-built journals naming members a node lacks
+// ---------------------------------------------------------------------------
+
+TEST(Replayer, BadMemberIndexIsAMismatchNotAThrow)
+{
+    // A member-health record naming a member index outside its node's
+    // ensemble is a divergence to report, in both the single-node and
+    // the routed replay, never an exception out of Replayer::run.
+    TaskPool pool(1);
+    for (int nodes : {1, 2}) {
+        for (EventKind kind : {EventKind::MemberFail,
+                               EventKind::MemberRestore,
+                               EventKind::MemberLeave}) {
+            for (int member : {99, -1}) {
+                EventJournal j;
+                j.config.nodes = nodes;
+                for (int n = 0; n < nodes; ++n)
+                    for (const char *name : {"ibmq_lima", "ibmq_quito"}) {
+                        DeviceSpec d;
+                        d.name = name;
+                        d.node = n;
+                        j.config.devices.push_back(d);
+                    }
+                EventRecord r;
+                r.kind = kind;
+                r.node = nodes - 1;
+                r.member = member;
+                r.atH = 0.5;
+                j.record(r);
+
+                ReplayResult res;
+                bool threw = false;
+                try {
+                    res = Replayer(std::move(j)).run(&pool);
+                } catch (const std::exception &) {
+                    threw = true;
+                }
+                const std::string what =
+                    std::string(kindName(kind)) + " member " +
+                    std::to_string(member) + " on " +
+                    std::to_string(nodes) + " node(s)";
+                EXPECT_FALSE(threw) << what;
+                EXPECT_FALSE(res.identical()) << what;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
