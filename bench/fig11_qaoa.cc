@@ -30,28 +30,28 @@ main()
         "ibmq_belem",  "ibmq_bogota", "ibmq_casablanca", "ibmq_lima",
         "ibmq_manila", "ibmq_quito",  "ibmq_santiago",   "ibmq_toronto"};
 
-    std::vector<TrainingTrace> traces;
-    for (const char *n : names) {
-        TrainerOptions o;
-        o.epochs = iterations;
-        // Shared QAOA parameters need the exact per-occurrence shift
-        // rule: the literal whole-parameter +-pi/2 shift has zero
-        // gradient on this instance (see bench_ablation_shift_mode).
-        o.shiftMode = ShiftMode::PerOccurrence;
-        o.seed = 1;
-        traces.push_back(trainSingleDevice(problem, deviceByName(n), o));
-    }
-
-    // Unweighted EQC over the same 8 devices.
-    std::vector<Device> ensemble;
-    for (const char *n : names)
-        ensemble.push_back(deviceByName(n));
-    EqcOptions eo;
-    eo.master.epochs = iterations;
-    eo.client.shiftMode = ShiftMode::PerOccurrence;
-    eo.seed = 1;
+    // Each device alone as a one-member job, then unweighted EQC over
+    // the same 8 devices, all on one Runtime.
+    EqcOptions o;
+    o.master.epochs = iterations;
+    // Shared QAOA parameters need the exact per-occurrence shift rule:
+    // the literal whole-parameter +-pi/2 shift has zero gradient on
+    // this instance (see bench_ablation_shift_mode).
+    o.client.shiftMode = ShiftMode::PerOccurrence;
+    o.seed = 1;
     Runtime runtime;
-    EqcTrace eqc = runtime.submit(problem, ensemble, eo).take();
+    std::vector<Device> ensemble;
+    std::vector<JobHandle> jobs;
+    for (const char *n : names) {
+        ensemble.push_back(deviceByName(n));
+        jobs.push_back(runtime.submit(problem, {ensemble.back()}, o));
+    }
+    JobHandle eqcJob = runtime.submit(problem, ensemble, o);
+    runtime.runAll();
+    std::vector<EqcTrace> traces;
+    for (JobHandle &job : jobs)
+        traces.push_back(job.take());
+    const EqcTrace eqc = eqcJob.take();
 
     bench::heading("normalized MaxCut cost vs iteration (every 2)");
     std::printf("%-6s %12s", "iter", "EQC");
@@ -61,7 +61,7 @@ main()
     for (int e = 0; e < iterations; e += 2) {
         std::printf("%-6d %12.4f",
                     e, eqc.epochs[e].energyDevice / edgeCount);
-        for (const TrainingTrace &t : traces) {
+        for (const EqcTrace &t : traces) {
             if (e < static_cast<int>(t.epochs.size()))
                 std::printf(" %12.4f",
                             t.epochs[e].energyDevice / edgeCount);

@@ -57,17 +57,24 @@ main()
         {"EQC-weights-0.25-1.75", {0.25, 1.75}},
     };
 
-    // Queue one job per weighting config and fan them out together.
+    // Queue one job per weighting config and one per device alone (a
+    // one-member job), and fan them out together.
+    EqcOptions o;
+    o.master.epochs = iterations;
+    // Shared QAOA parameters need the exact per-occurrence shift rule:
+    // the literal whole-parameter +-pi/2 shift has zero gradient on
+    // this instance (see bench_ablation_shift_mode).
+    o.client.shiftMode = ShiftMode::PerOccurrence;
+    o.seed = 1;
     Runtime runtime;
-    std::vector<JobHandle> jobs;
+    std::vector<JobHandle> jobs, singleJobs;
     for (const Config &c : configs) {
-        EqcOptions o;
-        o.master.epochs = iterations;
         o.master.weightBounds = c.bounds;
-        o.client.shiftMode = ShiftMode::PerOccurrence;
-        o.seed = 1;
         jobs.push_back(runtime.submit(problem, ensemble, o));
     }
+    o.master.weightBounds = {};
+    for (const Device &d : ensemble)
+        singleJobs.push_back(runtime.submit(problem, {d}, o));
     runtime.runAll();
     std::vector<EqcTrace> eqcTraces;
     for (JobHandle &job : jobs)
@@ -95,18 +102,8 @@ main()
     for (std::size_t i = 0; i < configs.size(); ++i)
         entries.push_back(
             {configs[i].label, minCost(eqcTraces[i], edges)});
-    for (const char *n : names) {
-        TrainerOptions o;
-        o.epochs = iterations;
-        // Shared QAOA parameters need the exact per-occurrence shift
-        // rule: the literal whole-parameter +-pi/2 shift has zero
-        // gradient on this instance (see bench_ablation_shift_mode).
-        o.shiftMode = ShiftMode::PerOccurrence;
-        o.seed = 1;
-        TrainingTrace t =
-            trainSingleDevice(problem, deviceByName(n), o);
-        entries.push_back({n, minCost(t, edges)});
-    }
+    for (std::size_t i = 0; i < names.size(); ++i)
+        entries.push_back({names[i], minCost(singleJobs[i].get(), edges)});
     std::sort(entries.begin(), entries.end(),
               [](const Entry &a, const Entry &b) {
                   return a.cost < b.cost;

@@ -1,10 +1,11 @@
 /**
  * @file
  * Reproduces Fig. 6: the 4-qubit Heisenberg-model VQE trained on (a) an
- * ideal simulator, (b) six individual IBMQ device models, and (c) the
- * EQC ensemble of 10 devices — energy-vs-epoch series, epochs/hour
- * speed bars, the two-week termination rule, and the final error rates
- * quoted in the paper's Sec. V-C (and Fig. 1).
+ * ideal simulator, (b) six individual IBMQ device models (each a
+ * one-member EQC job), and (c) the EQC ensemble of 10 devices —
+ * energy-vs-epoch series, epochs/hour speed bars, the two-week
+ * termination rule, and the final error rates quoted in the paper's
+ * Sec. V-C (and Fig. 1).
  */
 
 #include <cmath>
@@ -65,20 +66,34 @@ main()
 
     const int epochs = 250;
 
-    // --- Ideal Solution baseline (paper: ideal simulator, 8192 shots).
-    TrainerOptions idealOpts;
-    idealOpts.epochs = epochs;
-    idealOpts.learningRate = kBenchLr;
-    RunningStats idealFinal;
-    std::vector<SystemRun> runs;
-    {
-        TrainerOptions o = idealOpts;
-        o.seed = 1;
-        TrainingTrace t =
-            trainSingleDevice(problem, makeIdealDevice(4), o);
-        idealFinal.add(finalEnergy(t, 20));
-        runs.push_back({"Ideal", std::move(t)});
+    // --- Every run is a job on one Runtime, fanned out by one runAll():
+    // the ideal simulator (paper: 8192 shots) and the paper's six
+    // devices as one-member jobs, then EQC over the 10-device
+    // evaluation ensemble at 3 seeds.
+    std::vector<Device> singles = {makeIdealDevice(4)};
+    for (const char *name :
+         {"ibmqx2", "ibmq_bogota", "ibmq_casablanca", "ibmq_santiago",
+          "ibmq_toronto", "ibmq_manhattan"})
+        singles.push_back(deviceByName(name));
+    EqcOptions o;
+    o.master.epochs = epochs;
+    o.master.learningRate = kBenchLr;
+    o.seed = 1;
+    Runtime runtime;
+    std::vector<JobHandle> singleJobs, eqcJobs;
+    for (const Device &d : singles)
+        singleJobs.push_back(runtime.submit(problem, {d}, o));
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        o.seed = seed;
+        eqcJobs.push_back(
+            runtime.submit(problem, evaluationEnsemble(), o));
     }
+    runtime.runAll();
+
+    std::vector<SystemRun> runs;
+    for (std::size_t i = 0; i < singles.size(); ++i)
+        runs.push_back({i == 0 ? "Ideal" : singles[i].name,
+                        singleJobs[i].take()});
     const double idealSolution = estimateAnsatzMinimum(problem);
     std::printf("ansatz-reachable minimum (Ideal Solution): %.4f a.u. "
                 "(%.2f%% above exact ground; the Fig. 8 ansatz cannot "
@@ -86,35 +101,10 @@ main()
                 idealSolution,
                 errorVsReference(idealSolution, ground));
     std::printf("ideal training baseline final energy: %.4f a.u.\n",
-                idealFinal.mean());
+                finalEnergy(runs.front().trace, 20));
 
-    // --- Single-machine runs (the paper's six devices).
-    for (const char *name :
-         {"ibmqx2", "ibmq_bogota", "ibmq_casablanca", "ibmq_santiago",
-          "ibmq_toronto", "ibmq_manhattan"}) {
-        TrainerOptions o;
-        o.epochs = epochs;
-        o.learningRate = kBenchLr;
-        o.seed = 1;
-        runs.push_back(
-            {name, trainSingleDevice(problem, deviceByName(name), o)});
-    }
-
-    // --- EQC over the 10-device evaluation ensemble, 3 repetitions
-    // queued on one Runtime and fanned out across worker threads.
     RunningStats eqcFinalIdeal, eqcSpeed;
     EqcTrace eqcFirst;
-    Runtime runtime;
-    std::vector<JobHandle> eqcJobs;
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
-        EqcOptions o;
-        o.master.epochs = epochs;
-        o.master.learningRate = kBenchLr;
-        o.seed = seed;
-        eqcJobs.push_back(
-            runtime.submit(problem, evaluationEnsemble(), o));
-    }
-    runtime.runAll();
     for (std::size_t i = 0; i < eqcJobs.size(); ++i) {
         EqcTrace t = eqcJobs[i].take();
         eqcFinalIdeal.add(finalIdealEnergy(t, 20));

@@ -30,12 +30,6 @@ main()
     // size (alpha * |gradient|) on the paper's convergence horizon.
     const double kBenchLr = 0.05;
 
-    TrainerOptions idealOpts;
-    idealOpts.epochs = epochs;
-    idealOpts.learningRate = kBenchLr;
-    idealOpts.seed = 1;
-    TrainingTrace ideal =
-        trainSingleDevice(problem, makeIdealDevice(4), idealOpts);
     const double reference = estimateAnsatzMinimum(problem);
     std::printf("Ideal Solution reference (ansatz minimum): %.4f a.u.\n",
                 reference);

@@ -5,9 +5,9 @@
  *  1. Build a circuit and run it on the ideal simulator.
  *  2. Transpile it for a real device topology and run it under that
  *     device's noise model.
- *  3. Train a small VQE, first on one device, then on an EQC ensemble
- *     submitted through the eqc::Runtime engine API, with a
- *     TraceObserver streaming live progress.
+ *  3. Train a small VQE through the eqc::Runtime engine API, first on
+ *     one device (a one-member ensemble), then on an EQC ensemble with
+ *     a TraceObserver streaming live progress.
  *
  * Build & run:  ./build/examples/quickstart
  */
@@ -83,27 +83,27 @@ main()
                 problem.name.c_str(), problem.numParams(),
                 minEigenvalue(problem.hamiltonian));
 
-    TrainerOptions single;
-    single.epochs = 40;
-    single.seed = 7;
-    TrainingTrace bogota =
-        trainSingleDevice(problem, deviceByName("ibmq_bogota"), single);
+    // Every run goes through the Runtime: pick an engine by name
+    // ("virtual" = deterministic replay, "service" = gradients served
+    // through a ServiceNode), get a JobHandle back. A single-device
+    // baseline is a job whose ensemble has one member.
+    EqcOptions opts;
+    opts.master.epochs = 40;
+    opts.seed = 7;
+    opts.engine = "virtual";
+
+    Runtime runtime;
+    EqcTrace bogota =
+        runtime.submit(problem, {deviceByName("ibmq_bogota")}, opts)
+            .take();
     std::printf("ibmq_bogota alone: %zu epochs in %.1f h "
                 "(%.1f epochs/hour), final energy %.3f a.u.\n",
                 bogota.epochs.size(), bogota.totalHours,
                 bogota.epochsPerHour, finalEnergy(bogota, 5));
 
-    // Submit the ensemble run through the Runtime: pick an engine by
-    // name ("virtual" = deterministic replay, "service" = gradients
-    // served through a ServiceNode), get a JobHandle back, attach
-    // observers for streaming telemetry.
-    EqcOptions opts;
-    opts.master.epochs = 40;
+    // The ensemble run, with an observer attached for streaming
+    // telemetry.
     opts.master.weightBounds = {0.5, 1.5}; // the paper's Sec. V-D knob
-    opts.seed = 7;
-    opts.engine = "virtual";
-
-    Runtime runtime;
     ProgressObserver progress;
     JobHandle handle =
         runtime.submit(problem, evaluationEnsemble(), opts, {&progress});

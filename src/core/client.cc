@@ -73,14 +73,6 @@ ClientNode::finishProcess(PendingJob &job, TaskPool *pool)
     return out;
 }
 
-ClientNode::Processed
-ClientNode::process(const GradientTask &task, double atTimeH,
-                    TaskPool *pool)
-{
-    PendingJob job = beginProcess(task, atTimeH);
-    return finishProcess(job, pool);
-}
-
 double
 ClientNode::evaluateEnergy(const std::vector<double> &params,
                            double atTimeH, TaskPool *pool)

@@ -3,8 +3,20 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "core/runtime.h"
+#include "vqa/expectation.h"
 
 namespace eqc {
+
+std::vector<double>
+TrainingTrace::idealEnergySeries() const
+{
+    std::vector<double> out;
+    out.reserve(epochs.size());
+    for (const EpochRecord &r : epochs)
+        out.push_back(r.energyIdeal);
+    return out;
+}
 
 int
 convergenceEpoch(const std::vector<double> &series, double target,
@@ -37,14 +49,6 @@ convergenceEpoch(const std::vector<double> &series, double target,
             return start;
     }
     return -1;
-}
-
-int
-convergenceEpoch(const TrainingTrace &trace, double target, double tolAbs,
-                 int window)
-{
-    return convergenceEpoch(trace.deviceEnergySeries(), target, tolAbs,
-                            window);
 }
 
 double
@@ -81,6 +85,32 @@ errorVsReference(double energy, double reference)
     if (reference == 0.0)
         panic("errorVsReference: zero reference energy");
     return std::fabs(energy - reference) / std::fabs(reference) * 100.0;
+}
+
+double
+estimateAnsatzMinimum(const VqaProblem &problem, uint64_t seed)
+{
+    // Exact expectations on the noiseless device draw no random
+    // numbers, so both stages are pure functions of the problem.
+    const std::vector<Device> ideal = {
+        makeIdealDevice(problem.ansatz.numQubits())};
+    EqcOptions o;
+    o.master.epochs = 350;
+    o.master.learningRate = 0.05;
+    o.client.shotMode = ShotMode::Exact;
+    o.maxHours = 1e9;
+    o.seed = seed;
+    o.recordIdealEnergy = false;
+    o.recordWeights = false;
+    Runtime runtime;
+    VqaProblem refined = problem;
+    refined.initialParams =
+        runtime.submit(problem, ideal, o).take().finalParams;
+    o.master.epochs = 200;
+    o.master.learningRate = 0.01;
+    const EqcTrace fine = runtime.submit(refined, ideal, o).take();
+    return idealEnergy(problem.ansatz, problem.hamiltonian,
+                       fine.finalParams);
 }
 
 } // namespace eqc

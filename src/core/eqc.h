@@ -3,6 +3,11 @@
  * EQC public facade: options and trace types shared by every execution
  * engine, plus trace-analysis helpers.
  *
+ * A single-device baseline is an EQC job with a one-member device
+ * list: with the default weight bounds {1, 1} and adaptive cooldown
+ * off, the engine keeps one gradient job in flight, so every gradient
+ * is applied fresh, in cyclic parameter order, at weight 1.
+ *
  * Runs are launched through eqc::Runtime (core/runtime.h), which picks
  * the engine named by EqcOptions::engine from the EngineRegistry
  * (core/engine.h).
@@ -11,12 +16,14 @@
 #ifndef EQC_CORE_EQC_H
 #define EQC_CORE_EQC_H
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/ensemble.h"
 #include "core/master.h"
-#include "vqa/trainer.h"
+#include "vqa/problem.h"
 
 namespace eqc {
 
@@ -59,6 +66,34 @@ struct EqcOptions
     bool recordWeights = true;
 };
 
+/** One epoch of a training trace. */
+struct EpochRecord
+{
+    int epoch = 0;
+    /** Virtual completion time of the epoch (hours). */
+    double timeH = 0.0;
+    /** Energy estimated on the (noisy) training backend. */
+    double energyDevice = 0.0;
+    /** Ideal-simulator energy of the current parameters. */
+    double energyIdeal = 0.0;
+};
+
+/** Full record of one training run. */
+struct TrainingTrace
+{
+    std::string label;
+    std::vector<EpochRecord> epochs;
+    std::vector<double> finalParams;
+    /** true when the run hit maxHours before finishing. */
+    bool terminated = false;
+    double totalHours = 0.0;
+    double epochsPerHour = 0.0;
+    int circuitEvaluations = 0;
+
+    /** Epoch records as (epoch, energyIdeal) series. */
+    std::vector<double> idealEnergySeries() const;
+};
+
 /** One weight observation (a Fig. 5 sample). */
 struct WeightRecord
 {
@@ -87,10 +122,6 @@ struct EqcTrace : TrainingTrace
 int convergenceEpoch(const std::vector<double> &series, double target,
                      double tolAbs, int window = 5);
 
-/** Convenience overload on a trace's device-energy series. */
-int convergenceEpoch(const TrainingTrace &trace, double target,
-                     double tolAbs, int window = 5);
-
 /** Mean device energy over the final @p lastK epochs of a trace. */
 double finalEnergy(const TrainingTrace &trace, int lastK = 10);
 
@@ -102,6 +133,18 @@ double finalIdealEnergy(const TrainingTrace &trace, int lastK = 10);
  * |E - E_ref| / |E_ref| * 100 (percent).
  */
 double errorVsReference(double energy, double reference);
+
+/**
+ * Variationally estimate the ansatz-reachable minimum energy: two
+ * noise-free exact-expectation gradient-descent stages (coarse then
+ * fine), each a one-member job on the ideal device. This is the
+ * reference against which the reproduction reports error rates — the
+ * analogue of the paper's "Ideal Solution" line. (For the Fig. 8
+ * ansatz on the 4-qubit Heisenberg lattice this sits ~18% above the
+ * true ground energy; the ansatz cannot represent the singlet.)
+ */
+double estimateAnsatzMinimum(const VqaProblem &problem,
+                             uint64_t seed = 1);
 
 } // namespace eqc
 

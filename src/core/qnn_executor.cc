@@ -239,13 +239,4 @@ runQnnEqcVirtual(const QnnProblem &problem,
     return trace;
 }
 
-QnnTrace
-trainQnnSingleDevice(const QnnProblem &problem, const Device &device,
-                     const QnnOptions &options)
-{
-    QnnTrace trace = runQnnEqcVirtual(problem, {device}, options);
-    trace.label = device.name;
-    return trace;
-}
-
 } // namespace eqc

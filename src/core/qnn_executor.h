@@ -57,16 +57,12 @@ struct QnnOptions
 /**
  * Train a QNN on the EQC ensemble with dataset-level parallelism. One
  * epoch = numParams x numSamples gradient contributions, distributed
- * cyclically over the clients.
+ * cyclically over the clients. A one-device list is the single-device
+ * baseline with the same task decomposition.
  */
 QnnTrace runQnnEqcVirtual(const QnnProblem &problem,
                           const std::vector<Device> &devices,
                           const QnnOptions &options);
-
-/** Single-device baseline with the same task decomposition. */
-QnnTrace trainQnnSingleDevice(const QnnProblem &problem,
-                              const Device &device,
-                              const QnnOptions &options);
 
 } // namespace eqc
 

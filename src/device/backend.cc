@@ -1184,15 +1184,16 @@ SimulatedQpu::plansFor(const std::vector<ExecItem> &items,
 
 BatchWork
 SimulatedQpu::batchWork(const std::vector<ExecItem> &items, double atTimeH,
-                        TaskPool *pool)
+                        TaskPool &pool)
 {
     std::vector<const ExecPlan *> planOf;
     const auto plans = plansFor(items, planOf);
     const NoiseContext nc = noiseContextAt(atTimeH, plans);
     if (nc.noiseless)
         return {};
-    TaskPool &p = pool ? *pool : TaskPool::shared();
-    return BatchPlanner{nc, items, planOf}.plan(p.threadCount() > 1).work();
+    return BatchPlanner{nc, items, planOf}
+        .plan(pool.threadCount() > 1)
+        .work();
 }
 
 std::vector<JobResult>

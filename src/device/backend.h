@@ -55,8 +55,10 @@ struct ExecItem
 
 /**
  * The density-matrix work of one SimulatedQpu::executeBatch, read off
- * its schedule before anything runs: deterministic, and independent of
- * the host.
+ * its schedule before anything runs. The schedule depends on the pool
+ * it is planned for (serial on one thread, the first branch fanned out
+ * on more), so the counts are a pure function of the batch and that
+ * pool's thread count, never of the host.
  */
 struct BatchWork
 {
@@ -179,12 +181,14 @@ class SimulatedQpu : public QuantumBackend
                                         TaskPool *pool = nullptr) override;
 
     /**
-     * The density-matrix blocks executeBatch() on the same arguments
-     * would process, read off its schedule without running it (zero
-     * for a noiseless batch, which runs on the statevector).
+     * The density-matrix blocks executeBatch() on the same items, time
+     * and @p pool would process, read off its schedule without running
+     * it (zero for a noiseless batch, which runs on the statevector).
+     * The pool is named, not defaulted: a 1-thread pool counts the
+     * serial schedule, a larger one the fanned schedule.
      */
     BatchWork batchWork(const std::vector<ExecItem> &items, double atTimeH,
-                        TaskPool *pool = nullptr);
+                        TaskPool &pool);
 
     const Device &device() const override { return dev_; }
 

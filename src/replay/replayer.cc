@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "serve/router.h"
@@ -15,6 +17,35 @@ namespace replay {
 // ---------------------------------------------------------------------------
 // Config builders
 // ---------------------------------------------------------------------------
+
+namespace {
+
+using ProblemFactory = VqaProblem (*)(uint64_t);
+
+/** The problem factories a WorkloadSpec may name. */
+const std::map<std::string, ProblemFactory> &
+problemFactories()
+{
+    static const std::map<std::string, ProblemFactory> factories = {
+        {"heisenberg_vqe", &makeHeisenbergVqe},
+        {"ring_maxcut_qaoa", &makeRingMaxCutQaoa}};
+    return factories;
+}
+
+/** true when deviceByName knows @p name (it fatals otherwise). */
+bool
+isCatalogDevice(const std::string &name)
+{
+    static const std::unordered_set<std::string> names = [] {
+        std::unordered_set<std::string> out;
+        for (const Device &d : ibmqCatalog())
+            out.insert(d.name);
+        return out;
+    }();
+    return names.count(name) > 0;
+}
+
+} // namespace
 
 std::vector<Device>
 devicesFor(const JournalConfig &c, int node)
@@ -36,12 +67,10 @@ devicesFor(const JournalConfig &c, int node)
 VqaProblem
 problemByName(const std::string &name, uint64_t initSeed)
 {
-    if (name == "heisenberg_vqe")
-        return makeHeisenbergVqe(initSeed);
-    if (name == "ring_maxcut_qaoa")
-        return makeRingMaxCutQaoa(initSeed);
-    fatal("replay: unknown workload problem '" + name + "'");
-    return VqaProblem{}; // unreachable
+    auto it = problemFactories().find(name);
+    if (it == problemFactories().end())
+        fatal("replay: unknown workload problem '" + name + "'");
+    return it->second(initSeed);
 }
 
 // ---------------------------------------------------------------------------
@@ -154,6 +183,23 @@ Replayer::run(TaskPool *pool) const
     if (c.devices.empty()) {
         res.mismatches.push_back("journal config lists no devices");
         return res;
+    }
+    // Names are checked before anything is built: the catalog and
+    // problem lookups end the process on a name they do not know.
+    for (const DeviceSpec &spec : c.devices) {
+        if (!isCatalogDevice(spec.name)) {
+            res.mismatches.push_back("journal config names unknown "
+                                     "device '" + spec.name + "'");
+            return res;
+        }
+    }
+    for (const WorkloadSpec &w : c.workloads) {
+        if (problemFactories().count(w.problem) == 0) {
+            res.mismatches.push_back("journal config names unknown "
+                                     "workload problem '" +
+                                     w.problem + "'");
+            return res;
+        }
     }
 
     // Rebuild the recorded target: one ServiceNode, or (nodes > 1) a
@@ -285,8 +331,20 @@ Replayer::run(TaskPool *pool) const
             serve::ServiceNode &node =
                 *nodes[router ? static_cast<std::size_t>(r.node) : 0];
             if (r.kind == EventKind::MemberJoin) {
-                node.addMember(deviceByName(r.name, c.catalogSeed),
-                               r.atH);
+                if (!isCatalogDevice(r.name)) {
+                    res.mismatches.push_back(
+                        "member_join record names unknown device '" +
+                        r.name + "'");
+                    break;
+                }
+                const std::size_t m = node.addMember(
+                    deviceByName(r.name, c.catalogSeed), r.atH);
+                if (static_cast<long long>(m) != r.member)
+                    res.mismatches.push_back(
+                        "member_join record names member " +
+                        std::to_string(r.member) +
+                        " but the node added member " +
+                        std::to_string(m));
                 break;
             }
             if (r.member < 0 || static_cast<std::size_t>(r.member) >=

@@ -72,9 +72,11 @@ struct ReplayResult
  * verdict) bit-for-bit. One record loop serves both targets; only
  * request re-drive (Admit/Reject vs Route), member-record targeting
  * and the drain cue differ. A record naming a node or member the
- * target lacks is a mismatch, never an exception. Only meaningful
- * for journals whose config.clock is "virtual" — wall-clock runs are
- * not bit-replayable.
+ * target lacks, a join that adds a member under another index than
+ * its record's, and a config or join naming a device or problem
+ * nothing knows are mismatches, never an exception or an exit. Only
+ * meaningful for journals whose config.clock is "virtual" —
+ * wall-clock runs are not bit-replayable.
  */
 class Replayer
 {

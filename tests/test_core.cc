@@ -199,7 +199,8 @@ TEST(Client, ProcessReturnsPlausibleResult)
     task.paramIndex = 4;
     task.params = p.initialParams;
     task.version = 0;
-    auto out = client.process(task, 1.0);
+    ClientNode::PendingJob job = client.beginProcess(task, 1.0);
+    auto out = client.finishProcess(job);
     EXPECT_EQ(out.result.paramIndex, 4);
     EXPECT_GT(out.latencyH, 0.0);
     EXPECT_GT(out.result.pCorrect, 0.0);
@@ -279,17 +280,39 @@ TEST(EqcVirtual, DeterministicForSameSeed)
 TEST(EqcVirtual, FasterThanSingleDevice)
 {
     VqaProblem p = makeHeisenbergVqe();
-    TrainerOptions single;
-    single.epochs = 15;
-    single.seed = 5;
-    TrainingTrace bogota =
-        trainSingleDevice(p, deviceByName("ibmq_bogota"), single);
-
     EqcOptions opts;
     opts.master.epochs = 15;
     opts.seed = 5;
+    EqcTrace bogota = runVirtual(p, {deviceByName("ibmq_bogota")}, opts);
     EqcTrace ens = runVirtual(p, evaluationEnsemble(), opts);
     EXPECT_GT(ens.epochsPerHour, 2.0 * bogota.epochsPerHour);
+}
+
+TEST(EqcVirtual, OneMemberJobIsTheSequentialTrainer)
+{
+    // A single-device baseline is a one-member job: one gradient is in
+    // flight at a time, so none is stale; every parameter is
+    // differentiated once per epoch; the default bounds {1, 1} apply
+    // each gradient at weight 1.
+    VqaProblem p = makeHeisenbergVqe();
+    EqcOptions o;
+    o.master.epochs = 6;
+    o.seed = 3;
+    EqcTrace t = runVirtual(p, {deviceByName("ibmq_bogota")}, o);
+    const int jobs = p.numParams() * o.master.epochs;
+    ASSERT_EQ(t.epochs.size(), 6u);
+    EXPECT_FALSE(t.terminated);
+    EXPECT_EQ(t.staleness.count(), static_cast<std::size_t>(jobs));
+    EXPECT_EQ(t.staleness.max(), 0.0);
+    ASSERT_EQ(t.jobsPerDevice.size(), 1u);
+    EXPECT_EQ(t.jobsPerDevice.at("ibmq_bogota"), jobs);
+    ASSERT_EQ(t.weights.size(), static_cast<std::size_t>(jobs));
+    for (const WeightRecord &w : t.weights)
+        EXPECT_EQ(w.weight, 1.0);
+    for (const EpochRecord &e : t.epochs)
+        EXPECT_NE(e.energyIdeal, 0.0) << "epoch " << e.epoch;
+    EXPECT_EQ(t.epochs.back().energyIdeal,
+              idealEnergy(p.ansatz, p.hamiltonian, t.finalParams));
 }
 
 TEST(EqcVirtual, AsynchronyProducesStaleness)

@@ -767,10 +767,17 @@ TEST(Backend, BatchWorkIsPinnedForChainGradient)
         items.push_back({tc, params, &rngs.emplace_back(1)});
     SimulatedQpu qpu(dev, 11);
     TaskPool one(1);
-    const BatchWork work = qpu.batchWork(items, 6.5, &one);
+    const BatchWork work = qpu.batchWork(items, 6.5, one);
     EXPECT_EQ(work.blocks, 494464u);
     EXPECT_EQ(work.unprunedBlocks, 864256u);
     EXPECT_LT(work.blocks, work.unprunedBlocks);
+    // A multi-thread pool plans the fanned schedule, which walks each
+    // segment from the first branch's state: a count of its own.
+    TaskPool four(4);
+    const BatchWork fanned = qpu.batchWork(items, 6.5, four);
+    EXPECT_EQ(fanned.blocks, 490368u);
+    EXPECT_EQ(fanned.unprunedBlocks, 860160u);
+    EXPECT_LT(fanned.blocks, fanned.unprunedBlocks);
 }
 
 // Two items whose fused ops agree but whose compact qubits sit on

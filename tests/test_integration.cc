@@ -23,13 +23,11 @@ TEST(Integration, EqcErrorCloseToBestDeviceAndBelowWorst)
     // Mini Fig. 6: 50 epochs, best (bogota) / worst (x2) devices vs
     // the weighted ensemble of six.
     VqaProblem p = makeHeisenbergVqe();
-    TrainerOptions so;
-    so.epochs = 50;
+    EqcOptions so;
+    so.master.epochs = 50;
     so.seed = 2;
-    TrainingTrace best =
-        trainSingleDevice(p, deviceByName("ibmq_bogota"), so);
-    TrainingTrace worst =
-        trainSingleDevice(p, deviceByName("ibmqx2"), so);
+    EqcTrace best = runVirtual(p, {deviceByName("ibmq_bogota")}, so);
+    EqcTrace worst = runVirtual(p, {deviceByName("ibmqx2")}, so);
 
     std::vector<Device> devices = {
         deviceByName("ibmq_bogota"), deviceByName("ibmq_manila"),
@@ -62,11 +60,10 @@ TEST(Integration, EqcThroughputIsNearSumOfMembers)
                                        "ibmq_quito"};
     double sumRates = 0.0;
     for (const char *n : names) {
-        TrainerOptions o;
-        o.epochs = 10;
+        EqcOptions o;
+        o.master.epochs = 10;
         o.seed = 4;
-        sumRates +=
-            trainSingleDevice(p, deviceByName(n), o).epochsPerHour;
+        sumRates += runVirtual(p, {deviceByName(n)}, o).epochsPerHour;
     }
     std::vector<Device> devices;
     for (const char *n : names)
@@ -134,17 +131,15 @@ TEST(Integration, TwoWeekTerminationMatchesPaper)
     // Manhattan cannot finish 250 epochs inside two weeks; Bogota can
     // finish 50 epochs in hours.
     VqaProblem p = makeHeisenbergVqe();
-    TrainerOptions o;
-    o.epochs = 250;
+    EqcOptions o;
+    o.master.epochs = 250;
     o.seed = 1;
-    TrainingTrace man =
-        trainSingleDevice(p, deviceByName("ibmq_manhattan"), o);
+    EqcTrace man = runVirtual(p, {deviceByName("ibmq_manhattan")}, o);
     EXPECT_TRUE(man.terminated);
     EXPECT_LT(man.epochs.size(), 40u);
 
-    o.epochs = 50;
-    TrainingTrace bog =
-        trainSingleDevice(p, deviceByName("ibmq_bogota"), o);
+    o.master.epochs = 50;
+    EqcTrace bog = runVirtual(p, {deviceByName("ibmq_bogota")}, o);
     EXPECT_FALSE(bog.terminated);
     EXPECT_LT(bog.totalHours, 24.0);
 }

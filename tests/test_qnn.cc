@@ -61,8 +61,7 @@ TEST(QnnEqc, SingleDeviceTrainingReducesMse)
     o.shotMode = ShotMode::Exact;
     o.seed = 2;
     double before = qnnMseIdeal(p, p.initialParams);
-    QnnTrace t =
-        trainQnnSingleDevice(p, deviceByName("ibmq_bogota"), o);
+    QnnTrace t = runQnnEqcVirtual(p, {deviceByName("ibmq_bogota")}, o);
     ASSERT_EQ(t.epochs.size(), 25u);
     double after = t.epochs.back().mseIdeal;
     EXPECT_LT(after, 0.6 * before);
@@ -75,7 +74,7 @@ TEST(QnnEqc, EnsembleTrainingConvergesAndIsFaster)
     o.epochs = 15;
     o.seed = 2;
     QnnTrace single =
-        trainQnnSingleDevice(p, deviceByName("ibmq_bogota"), o);
+        runQnnEqcVirtual(p, {deviceByName("ibmq_bogota")}, o);
     std::vector<Device> devices = {deviceByName("ibmq_bogota"),
                                    deviceByName("ibmq_manila"),
                                    deviceByName("ibmq_quito"),

@@ -1127,13 +1127,14 @@ TEST(InvariantChecker, FlagsForwardWithoutRejection)
 TEST(Replayer, BadMemberIndexIsAMismatchNotAThrow)
 {
     // A member-health record naming a member index outside its node's
-    // ensemble is a divergence to report, in both the single-node and
-    // the routed replay, never an exception out of Replayer::run.
+    // ensemble, or a join naming another index than the one its node
+    // adds, is a divergence to report, in both the single-node and the
+    // routed replay, never an exception out of Replayer::run.
     TaskPool pool(1);
     for (int nodes : {1, 2}) {
-        for (EventKind kind : {EventKind::MemberFail,
-                               EventKind::MemberRestore,
-                               EventKind::MemberLeave}) {
+        for (EventKind kind :
+             {EventKind::MemberFail, EventKind::MemberRestore,
+              EventKind::MemberLeave, EventKind::MemberJoin}) {
             for (int member : {99, -1}) {
                 EventJournal j;
                 j.config.nodes = nodes;
@@ -1149,6 +1150,8 @@ TEST(Replayer, BadMemberIndexIsAMismatchNotAThrow)
                 r.node = nodes - 1;
                 r.member = member;
                 r.atH = 0.5;
+                // A join adds member 2; the record names another.
+                r.name = "ibmq_belem";
                 j.record(r);
 
                 ReplayResult res;
@@ -1167,6 +1170,59 @@ TEST(Replayer, BadMemberIndexIsAMismatchNotAThrow)
             }
         }
     }
+}
+
+TEST(Replayer, UnknownNamesAreAMismatchNotAnExit)
+{
+    // The catalog and problem lookups end the process on a name they
+    // do not know. A journal naming one, in its config or in a join,
+    // must come back as a mismatch from a process that survives.
+    std::ifstream in(std::string(EQC_TEST_DATA_DIR) +
+                         "/mini_journal.jsonl",
+                     std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    std::string err;
+    const EventJournal base = EventJournal::parse(buf.str(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_FALSE(base.config.devices.empty());
+    ASSERT_FALSE(base.config.workloads.empty());
+
+    TaskPool pool(1);
+    auto expectMismatchNaming = [&](EventJournal j,
+                                    const std::string &name) {
+        const ReplayResult res = Replayer(std::move(j)).run(&pool);
+        ASSERT_FALSE(res.identical()) << name;
+        bool named = false;
+        for (const std::string &m : res.mismatches)
+            named = named || m.find(name) != std::string::npos;
+        EXPECT_TRUE(named) << name << ": " << res.mismatches.front();
+    };
+
+    EventJournal device = base;
+    device.config.devices.front().name = "ibmq_nowhere";
+    expectMismatchNaming(std::move(device), "ibmq_nowhere");
+
+    EventJournal workload = base;
+    workload.config.workloads.front().problem = "no_such_problem";
+    expectMismatchNaming(std::move(workload), "no_such_problem");
+
+    // A join of an unknown device, injected after the first record.
+    EventJournal joined;
+    joined.config = base.config;
+    for (const EventRecord &r : base.records()) {
+        joined.record(r);
+        if (joined.size() == 1) {
+            EventRecord join;
+            join.kind = EventKind::MemberJoin;
+            join.node = 0;
+            join.member = 4;
+            join.name = "ibmq_elsewhere";
+            join.atH = r.tH;
+            joined.record(join);
+        }
+    }
+    expectMismatchNaming(std::move(joined), "ibmq_elsewhere");
 }
 
 // ---------------------------------------------------------------------------

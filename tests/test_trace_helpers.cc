@@ -76,11 +76,10 @@ TEST(TraceHelpers, FinalIdealEnergyUsesIdealSeries)
 TEST(TraceHelpers, SeriesAccessors)
 {
     TrainingTrace t = traceOf({-1, -2}, {-3, -4});
-    auto dev = t.deviceEnergySeries();
     auto idl = t.idealEnergySeries();
-    ASSERT_EQ(dev.size(), 2u);
-    EXPECT_DOUBLE_EQ(dev[1], -2.0);
+    ASSERT_EQ(idl.size(), 2u);
     EXPECT_DOUBLE_EQ(idl[0], -3.0);
+    EXPECT_DOUBLE_EQ(idl[1], -4.0);
 }
 
 TEST(TraceHelpers, ErrorVsReference)
@@ -88,12 +87,6 @@ TEST(TraceHelpers, ErrorVsReference)
     EXPECT_NEAR(errorVsReference(-3.9, -4.0), 2.5, 1e-12);
     EXPECT_NEAR(errorVsReference(-4.1, -4.0), 2.5, 1e-12);
     EXPECT_DOUBLE_EQ(errorVsReference(-4.0, -4.0), 0.0);
-}
-
-TEST(TraceHelpers, TraceOverloadUsesDeviceSeries)
-{
-    TrainingTrace t = traceOf({-4, -4, -4, -4}, {0, 0, 0, 0});
-    EXPECT_EQ(convergenceEpoch(t, -4.0, 0.1, 2), 0);
 }
 
 } // namespace

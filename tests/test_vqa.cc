@@ -8,9 +8,9 @@
 #include "common/task_pool.h"
 #include "device/catalog.h"
 #include "hamiltonian/exact.h"
+#include "support/run_helpers.h"
 #include "vqa/parameter_shift.h"
 #include "vqa/problem.h"
-#include "vqa/trainer.h"
 
 namespace eqc {
 namespace {
@@ -248,10 +248,10 @@ TEST(Trainer, IdealDeviceConvergesTowardAnsatzMinimum)
 {
     VqaProblem p = vqe();
     Device ideal = makeIdealDevice(4);
-    TrainerOptions opts;
-    opts.epochs = 120;
+    EqcOptions opts;
+    opts.master.epochs = 120;
     opts.seed = 5;
-    TrainingTrace trace = trainSingleDevice(p, ideal, opts);
+    EqcTrace trace = runVirtual(p, {ideal}, opts);
     ASSERT_EQ(trace.epochs.size(), 120u);
     double start = trace.epochs.front().energyIdeal;
     double end = trace.epochs.back().energyIdeal;
@@ -267,11 +267,11 @@ TEST(Trainer, TerminationRuleFires)
 {
     VqaProblem p = vqe();
     Device man = deviceByName("ibmq_manhattan");
-    TrainerOptions opts;
-    opts.epochs = 250;
+    EqcOptions opts;
+    opts.master.epochs = 250;
     opts.maxHours = 24.0; // tight budget: Manhattan cannot finish
     opts.seed = 3;
-    TrainingTrace trace = trainSingleDevice(p, man, opts);
+    EqcTrace trace = runVirtual(p, {man}, opts);
     EXPECT_TRUE(trace.terminated);
     EXPECT_LT(trace.epochs.size(), 250u);
 }
