@@ -123,6 +123,13 @@ Rng::uniformInt(int lo, int hi)
 double
 Rng::normal(double mean, double stddev)
 {
+    // std::normal_distribution requires stddev > 0. A zero width (a
+    // shot-noise variance clamped at 0) still consumes the draws a
+    // standard normal takes, so the stream does not depend on it.
+    if (stddev == 0.0) {
+        std::normal_distribution<double>()(engine_);
+        return mean;
+    }
     return std::normal_distribution<double>(mean, stddev)(engine_);
 }
 

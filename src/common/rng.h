@@ -134,7 +134,10 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     int uniformInt(int lo, int hi);
 
-    /** Standard normal draw scaled to N(mean, stddev^2). */
+    /**
+     * Standard normal draw scaled to N(mean, stddev^2); stddev 0
+     * returns @p mean after the same engine draws.
+     */
     double normal(double mean = 0.0, double stddev = 1.0);
 
     /** Lognormal draw with the given parameters of the underlying normal. */

@@ -3,14 +3,16 @@
  * The EQC client node (paper Alg. 2).
  *
  * One client fronts one QPU. At construction it transpiles the problem's
- * measurement-group circuits for its device topology once (circuits stay
- * symbolically parameterized, so every subsequent iteration only
- * re-binds angles). For each task it:
+ * measurement-group circuits for its device topology once, one set per
+ * dataset sample (circuits stay symbolically parameterized, so every
+ * subsequent iteration only re-binds angles). For each task it:
  *   1. samples its device's queue latency,
  *   2. computes P_correct from the transpiled circuit census and the
  *      device's *reported* calibration at induction time (Eq. 2),
  *   3. runs the forward/backward parameter-shift circuits on the
- *      backend (which applies the *actual*, drifted noise),
+ *      backend (which applies the *actual*, drifted noise) — for a
+ *      dataset task also the unshifted circuit, since the gradient of
+ *      the sample's squared error is 2(<O>_d - y_d) d<O>_d/dtheta_i,
  *   4. hands the gradient and P_correct back to the master.
  */
 
@@ -96,7 +98,9 @@ class ClientNode
     /**
      * Compute side of a pulled job: run the parameter-shift circuits
      * under the device's noise at the job's completion time, submitH
-     * + latencyH. Safe to call concurrently for *different* clients
+     * + latencyH. For a dataset problem the result is the sample's
+     * share of the MSE gradient, 2(<O>_d - y_d) d<O>_d/dtheta_i / n.
+     * Safe to call concurrently for *different* clients
      * (each client may have at most one job in flight); consumes
      * @p job's stream.
      * @param pool fan-out pool for the shift evaluations; nullptr
@@ -106,31 +110,40 @@ class ClientNode
     Processed finishProcess(PendingJob &job, TaskPool *pool = nullptr);
 
     /**
-     * Evaluate the energy of @p params on this device at @p atTimeH
+     * Evaluate the loss of @p params on this device at @p atTimeH:
+     * the energy, or the dataset MSE for a dataset problem
      * (diagnostic; does not consume queue time).
      * @param pool fan-out pool (see finishProcess)
      */
     double evaluateEnergy(const std::vector<double> &params,
                           double atTimeH, TaskPool *pool = nullptr);
 
-    /** Eq. 2 score against the reported calibration at time t. */
-    double computePCorrect(double atTimeH) const;
+    /**
+     * Eq. 2 score of dataset sample @p sample's circuits against the
+     * reported calibration at time t.
+     */
+    double computePCorrect(double atTimeH, int sample = 0) const;
 
     int id() const { return id_; }
     const Device &device() const { return device_; }
     SimulatedQpu &backend() { return backend_; }
-    const std::vector<TranspiledCircuit> &compiled() const
-    {
-        return compiled_;
-    }
 
   private:
+    /** The compiled circuits of one dataset sample (or the ansatz). */
+    struct Sample
+    {
+        ExpectationEstimator estimator;
+        std::vector<TranspiledCircuit> compiled;
+        double label = 0.0;
+    };
+
     int id_;
     Device device_;
     ClientConfig config_;
     SimulatedQpu backend_;
-    ExpectationEstimator estimator_;
-    std::vector<TranspiledCircuit> compiled_;
+    std::vector<Sample> samples_;
+    /** true for a dataset (QNN) problem. */
+    bool dataset_;
     Rng rng_;
     double durUs_;
     uint64_t jobCounter_ = 0;

@@ -1,10 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
-
-#include "vqa/expectation.h"
 
 namespace eqc {
 
@@ -59,9 +56,7 @@ JobsPerDeviceObserver::onResult(RunContext &ctx, std::size_t clientId,
 void
 IdealEnergyObserver::onEpoch(RunContext &ctx, EpochRecord &record)
 {
-    record.energyIdeal =
-        idealEnergy(ctx.problem().ansatz, ctx.problem().hamiltonian,
-                    ctx.master().params());
+    record.energyIdeal = idealLoss(ctx.problem(), ctx.master().params());
 }
 
 // ---------------------------------------------------------------------------
@@ -153,51 +148,18 @@ RunContext::finish()
 }
 
 // ---------------------------------------------------------------------------
-// EngineRegistry
+// Engine selection
 // ---------------------------------------------------------------------------
 
-EngineRegistry::EngineRegistry()
-    : factories_{{"virtual", &makeVirtualEngine},
-                 {"service", &makeServiceEngine}}
-{
-}
-
-EngineRegistry &
-EngineRegistry::instance()
-{
-    static EngineRegistry registry;
-    return registry;
-}
-
-bool
-EngineRegistry::has(const std::string &name) const
-{
-    return factories_.count(name) > 0;
-}
-
 std::unique_ptr<ExecutionEngine>
-EngineRegistry::create(const std::string &name) const
+makeEngine(const std::string &name)
 {
-    auto it = factories_.find(name);
-    if (it == factories_.end()) {
-        std::ostringstream msg;
-        msg << "unknown execution engine \"" << name
-            << "\"; registered engines:";
-        for (const auto &[key, factory] : factories_)
-            msg << " \"" << key << "\"";
-        throw std::invalid_argument(msg.str());
-    }
-    return it->second();
-}
-
-std::vector<std::string>
-EngineRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &[key, factory] : factories_)
-        out.push_back(key);
-    return out; // std::map iteration is already sorted
+    if (name == "virtual")
+        return makeVirtualEngine();
+    if (name == "service")
+        return makeServiceEngine();
+    throw std::invalid_argument("unknown execution engine \"" + name +
+                                "\"; engines: \"virtual\" \"service\"");
 }
 
 } // namespace eqc

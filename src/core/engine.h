@@ -16,8 +16,8 @@
  *  - TraceObserver streams telemetry out of the run (weight timeline,
  *    staleness, jobs-per-device, ideal-energy annotation) instead of
  *    baking recording flags into each executor.
- *  - EngineRegistry maps engine names ("virtual", "service") to
- *    factories.
+ *  - makeEngine maps an engine name ("virtual", "service") to a new
+ *    engine.
  *
  * Most callers should use the higher-level eqc::Runtime (runtime.h);
  * this layer is for implementing new engines or custom telemetry.
@@ -26,7 +26,6 @@
 #ifndef EQC_CORE_ENGINE_H
 #define EQC_CORE_ENGINE_H
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,7 +86,10 @@ class JobsPerDeviceObserver : public TraceObserver
                   const GradientResult &result, double weight) override;
 };
 
-/** Annotates each epoch with the ideal-simulator energy. */
+/**
+ * Annotates each epoch with the ideal-simulator loss (idealLoss: the
+ * energy, or the dataset MSE of a QNN).
+ */
 class IdealEnergyObserver : public TraceObserver
 {
   public:
@@ -209,15 +211,14 @@ class RunContext
  *
  * Implementations decide how time passes and how clients are
  * scheduled; all protocol semantics live in the context. Engines are
- * created per job through the EngineRegistry and may keep per-run
- * state.
+ * created per job by makeEngine and may keep per-run state.
  */
 class ExecutionEngine
 {
   public:
     virtual ~ExecutionEngine() = default;
 
-    /** Registry key of this engine ("virtual", "service"). */
+    /** Name of this engine ("virtual", "service"). */
     virtual std::string name() const = 0;
 
     /**
@@ -228,39 +229,11 @@ class ExecutionEngine
 };
 
 /**
- * String-keyed registry of execution-engine factories.
- *
- * Holds the built-in "virtual" (deterministic discrete-event) and
- * "service" (gradients served through a serve::ServiceNode) engines,
- * registered once when the registry is first used.
+ * Instantiate the engine named @p name: "virtual" or "service".
+ * @throws std::invalid_argument naming the unknown engine and listing
+ *         both built-in ones (no silent default).
  */
-class EngineRegistry
-{
-  public:
-    /** The process-wide registry. */
-    static EngineRegistry &instance();
-
-    /** true when an engine named @p name is registered. */
-    bool has(const std::string &name) const;
-
-    /**
-     * Instantiate the engine registered under @p name.
-     * @throws std::invalid_argument naming the unknown engine and
-     *         listing every registered one (no silent default).
-     */
-    std::unique_ptr<ExecutionEngine> create(const std::string &name) const;
-
-    /** Sorted names of all registered engines. */
-    std::vector<std::string> names() const;
-
-  private:
-    using Factory = std::unique_ptr<ExecutionEngine> (*)();
-
-    EngineRegistry();
-
-    /** Filled once by the constructor; read-only afterwards. */
-    const std::map<std::string, Factory> factories_;
-};
+std::unique_ptr<ExecutionEngine> makeEngine(const std::string &name);
 
 /**
  * Factory for the deterministic discrete-event engine ("virtual").

@@ -8,8 +8,12 @@
  * off, the engine keeps one gradient job in flight, so every gradient
  * is applied fresh, in cyclic parameter order, at weight 1.
  *
- * Runs are launched through eqc::Runtime (core/runtime.h), which picks
- * the engine named by EqcOptions::engine from the EngineRegistry
+ * A QNN is an EQC job too: a VqaProblem with a dataset, whose tasks
+ * are (parameter, data point) pairs and whose epoch energies are the
+ * dataset MSE.
+ *
+ * Runs are launched through eqc::Runtime (core/runtime.h), which
+ * creates the engine named by EqcOptions::engine with makeEngine
  * (core/engine.h).
  */
 
@@ -40,9 +44,10 @@ struct EqcOptions
     double maxHours = 336.0;
     uint64_t seed = 1;
     /**
-     * EngineRegistry key of the execution engine to run on. Built-in:
-     * "virtual" (deterministic discrete-event replay) and "service"
-     * (gradients served through a multi-tenant serve::ServiceNode).
+     * Name of the execution engine to run on: "virtual"
+     * (deterministic discrete-event replay) or "service" (gradients
+     * served through a multi-tenant serve::ServiceNode; rejects a
+     * problem with a dataset).
      */
     std::string engine = "virtual";
     /**
@@ -72,9 +77,12 @@ struct EpochRecord
     int epoch = 0;
     /** Virtual completion time of the epoch (hours). */
     double timeH = 0.0;
-    /** Energy estimated on the (noisy) training backend. */
+    /**
+     * Energy estimated on the (noisy) training backend; the dataset
+     * MSE for a QNN.
+     */
     double energyDevice = 0.0;
-    /** Ideal-simulator energy of the current parameters. */
+    /** Ideal-simulator loss of the current parameters (idealLoss). */
     double energyIdeal = 0.0;
 };
 

@@ -7,6 +7,7 @@ namespace eqc {
 MasterNode::MasterNode(const VqaProblem &problem,
                        const MasterOptions &options)
     : options_(options), numParams_(problem.numParams()),
+      numSamples_(problem.numSamples()),
       params_(problem.initialParams),
       optimizer_(options.learningRate),
       normalizer_(options.weightBounds)
@@ -28,9 +29,13 @@ MasterNode::nextTask()
 {
     GradientTask t;
     t.paramIndex = nextParam_;
+    t.sample = nextSample_;
     t.params = params_;
     t.version = optimizer_.updates();
-    nextParam_ = (nextParam_ + 1) % numParams_;
+    if (++nextSample_ == numSamples_) {
+        nextSample_ = 0;
+        nextParam_ = (nextParam_ + 1) % numParams_;
+    }
     return t;
 }
 
@@ -52,7 +57,8 @@ MasterNode::onResult(const GradientResult &result)
 int
 MasterNode::epochsCompleted() const
 {
-    return static_cast<int>(received_ / numParams_);
+    return static_cast<int>(
+        received_ / (static_cast<uint64_t>(numParams_) * numSamples_));
 }
 
 } // namespace eqc

@@ -5,7 +5,9 @@
  * Holds the global parameter vector and the loss definition, hands out
  * parameter-differentiation tasks cyclically to whichever client is
  * free, and applies returned gradients with the weighted ASGD rule
- * (Eq. 4). The master is execution-engine agnostic: every engine
+ * (Eq. 4). For a problem with a dataset (a QNN) a task is one
+ * (parameter, data point) pair (Sec. III-A), so an epoch is
+ * numParams x numSamples gradients. The master is execution-engine agnostic: every engine
  * drives this same class through RunContext, so the asynchronous
  * semantics — stale gradients, cyclic parameter order, bounded delay —
  * come only from job latencies, never from the deployment.
@@ -28,6 +30,8 @@ namespace eqc {
 struct GradientTask
 {
     int paramIndex = -1;
+    /** Dataset sample the gradient is taken on; 0 without a dataset. */
+    int sample = 0;
     /** Snapshot of the parameters at assignment time. */
     std::vector<double> params;
     /** Master version (update count) at assignment time. */
@@ -69,7 +73,10 @@ class MasterNode
     /** true once the target number of epochs has been applied. */
     bool done() const;
 
-    /** Next cyclic parameter assignment (Alg. 1 task queue). */
+    /**
+     * Next cyclic (parameter, sample) assignment (Alg. 1 task queue):
+     * samples inner, parameters outer.
+     */
     GradientTask nextTask();
 
     /**
@@ -81,7 +88,10 @@ class MasterNode
     /** Live parameter vector. */
     const std::vector<double> &params() const { return params_; }
 
-    /** Completed epochs (gradients received / parameter count). */
+    /**
+     * Completed epochs (gradients received / (parameter count x
+     * sample count)).
+     */
     int epochsCompleted() const;
 
     /** Gradients applied so far. */
@@ -98,10 +108,12 @@ class MasterNode
   private:
     MasterOptions options_;
     int numParams_;
+    int numSamples_;
     std::vector<double> params_;
     AsgdOptimizer optimizer_;
     WeightNormalizer normalizer_;
     int nextParam_ = 0;
+    int nextSample_ = 0;
     uint64_t received_ = 0;
     RunningStats staleness_;
 };

@@ -159,11 +159,10 @@ Runtime::submit(const VqaProblem &problem,
     auto state = std::make_shared<detail::JobState>();
     state->id = nextId_++;
     state->engineName = options.engine;
-    // Created here so an unknown engine name throws the registry's
-    // "unknown execution engine ... registered engines: ..." message
-    // at submit, not mid-runAll — and the validated instance is the
-    // one that runs.
-    state->engine = EngineRegistry::instance().create(options.engine);
+    // Created here so an unknown engine name throws makeEngine's
+    // "unknown execution engine ..." message at submit, not
+    // mid-runAll — and the validated instance is the one that runs.
+    state->engine = makeEngine(options.engine);
     state->problem = problem;
     state->devices = devices;
     state->options = options;
@@ -235,12 +234,6 @@ Runtime::pendingJobs() const
         if (!job->done())
             ++pending;
     return pending;
-}
-
-std::vector<std::string>
-Runtime::engineNames()
-{
-    return EngineRegistry::instance().names();
 }
 
 } // namespace eqc

@@ -4,9 +4,9 @@
  *
  * A Runtime accepts EQC jobs (problem + device list + options), picks
  * the execution engine named by the options ("virtual" DES replay or
- * "service" ServiceNode-backed gradients; see EngineRegistry), and
- * hands back a JobHandle that carries the
- * resulting EqcTrace. Jobs are queued at submit time; they execute
+ * "service" ServiceNode-backed gradients; see makeEngine), and hands
+ * back a JobHandle that carries the resulting EqcTrace. VQE, QAOA and
+ * QNN problems (a VqaProblem with a dataset) all run as such jobs. Jobs are queued at submit time; they execute
  * either on first JobHandle::get()/take() (inline, lazily) or all at
  * once via Runtime::runAll(), which fans independent jobs across
  * worker threads — the multi-tenant "many VQA campaigns against one
@@ -111,8 +111,8 @@ class Runtime
      * Queue one EQC job on the engine named by @p options.engine.
      * The problem and device list are copied, so the caller's copies
      * need not outlive the job.
-     * @throws std::invalid_argument when the engine name is not
-     *         registered (the message lists the registered engines).
+     * @throws std::invalid_argument when the engine name is unknown
+     *         (the message lists the built-in engines).
      */
     JobHandle submit(const VqaProblem &problem,
                      const std::vector<Device> &devices,
@@ -137,9 +137,6 @@ class Runtime
 
     /** Number of submitted jobs that have not finished yet. */
     std::size_t pendingJobs() const;
-
-    /** Names of all registered engines (sorted). */
-    static std::vector<std::string> engineNames();
 
   private:
     RuntimeOptions options_;

@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/task_pool.h"
@@ -59,6 +60,12 @@ class ServiceEngine final : public ExecutionEngine
     void
     run(RunContext &ctx) override
     {
+        // The node serves the bare ansatz; a QNN's per-sample encoding
+        // circuits have no workload to run on.
+        if (!ctx.problem().dataset.empty())
+            throw std::invalid_argument(
+                "the \"service\" engine cannot train a problem with a "
+                "dataset; use the \"virtual\" engine");
         ctx.trace().label = "EQC-service";
 
         std::unique_ptr<TaskPool> own;

@@ -213,6 +213,19 @@ TEST(Rng, NormalMoments)
     EXPECT_NEAR(var, 4.0, 0.25);
 }
 
+TEST(Rng, ZeroWidthNormalIsTheMeanAndKeepsTheStream)
+{
+    Rng rng(17);
+    std::mt19937_64 ref(splitmix64(17));
+    for (int i = 0; i < 50; ++i) {
+        EXPECT_EQ(rng.normal(1.5, 0.0), 1.5);
+        std::normal_distribution<double>()(ref);
+        EXPECT_FALSE(std::signbit(rng.normal(0.0, 0.0)));
+        std::normal_distribution<double>()(ref);
+    }
+    EXPECT_EQ(rng.nextU64(), ref());
+}
+
 TEST(Rng, BernoulliEdgeCases)
 {
     Rng r(5);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the eqc::Runtime engine API: registry error handling,
+ * Tests of the eqc::Runtime engine API: engine-name error handling,
  * engine parity (the "virtual" replay is bit-identical for every
  * thread count), job queueing/fan-out, and streamed TraceObserver
  * telemetry.
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -24,15 +23,6 @@ smallEnsemble()
 {
     return {deviceByName("ibmq_bogota"), deviceByName("ibmq_manila"),
             deviceByName("ibmq_quito")};
-}
-
-TEST(EngineRegistry, ListsBuiltInEngines)
-{
-    std::vector<std::string> names = Runtime::engineNames();
-    EXPECT_TRUE(std::count(names.begin(), names.end(), "virtual") == 1);
-    EXPECT_TRUE(std::count(names.begin(), names.end(), "service") == 1);
-    EXPECT_TRUE(EngineRegistry::instance().has("virtual"));
-    EXPECT_FALSE(EngineRegistry::instance().has("warp-drive"));
 }
 
 TEST(EngineRegistry, UnknownEngineFailsWithClearMessage)

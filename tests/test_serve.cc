@@ -1040,9 +1040,6 @@ TEST(ServiceNode, SupervisedRestoreBacksOffExponentially)
 
 TEST(ServiceEngine, RegisteredAndTrainsDeterministically)
 {
-    std::vector<std::string> names = Runtime::engineNames();
-    EXPECT_EQ(std::count(names.begin(), names.end(), "service"), 1);
-
     VqaProblem p = makeHeisenbergVqe();
     EqcOptions opts;
     opts.master.epochs = 3;
